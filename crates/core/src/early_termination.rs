@@ -9,12 +9,14 @@
 //! pattern". The systolic baseline cannot do this: its score is only
 //! known after the whole computation drains (Section 6).
 
-use rl_bio::{alphabet::Symbol, Seq};
+use rl_bio::{alphabet::Symbol, PackedSeq, Seq};
 
 use crate::alignment::RaceWeights;
 use crate::engine::{AlignConfig, AlignEngine};
 use crate::error::AlignError;
 use crate::score_transform::TransformedWeights;
+use crate::store::StoreTarget;
+use crate::striped::Slot;
 use crate::supervisor::{ResumeToken, ScanControl, ScanOutcome};
 
 /// The outcome of a thresholded race.
@@ -157,8 +159,6 @@ pub fn scan_database<S: Symbol>(
     weights: RaceWeights,
     threshold: u64,
 ) -> ScanReport {
-    use rl_bio::PackedSeq;
-
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = patterns.iter().map(|p| (&q, p)).collect();
@@ -190,7 +190,7 @@ pub fn scan_database<S: Symbol>(
     }
 }
 
-/// Result of a ratcheted top-k database scan ([`scan_database_topk`]).
+/// Result of a ratcheted top-k database scan ([`scan_database_topk_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopKScan {
     /// The `k` best database entries as `(index, score)`, sorted by
@@ -218,55 +218,18 @@ pub struct TopKScan {
 ///
 /// Execution: the batch planner packs the database into stripes (the
 /// fixed query is transposed into the stripe plane once and reused, not
-/// re-packed per stripe) and streams them through rayon workers that
-/// share the score ratchet. An optional `threshold` seeds the ratchet —
-/// entries scoring above it are never hits, exactly as in
-/// [`scan_database`].
+/// re-packed per stripe) and streams them through `workers` workers
+/// (`None` = one per available thread) that share the score ratchet.
+/// `cfg.threshold` seeds the ratchet — entries scoring above it are
+/// never hits, exactly as in [`scan_database`]. See
+/// [`scan_packed_topk_with`] for the steady-state packed form and the
+/// mode semantics.
 ///
 /// The returned [`TopKScan::hits`] is **deterministic** regardless of
 /// worker interleaving: abandons only ever fire on a strict
 /// `score > current-k-th-best` proof, and the ratchet is always at
 /// least the true k-th best, so every true top-k entry finishes with
 /// its exact score.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_database_topk<S: Symbol>(
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-) -> TopKScan {
-    scan_database_topk_with_workers(query, database, weights, k, threshold, None)
-}
-
-/// [`scan_database_topk`] with an explicit worker count (`None` = one
-/// per available thread) — exposed so the determinism guarantee is
-/// directly testable across worker counts.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_database_topk_with_workers<S: Symbol>(
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-    workers: Option<usize>,
-) -> TopKScan {
-    let mut cfg = AlignConfig::new(weights);
-    cfg.threshold = threshold;
-    scan_database_topk_with(&cfg, query, database, k, workers)
-}
-
-/// [`scan_database_topk`] under a full [`AlignConfig`] (unpacked
-/// sequences; see [`scan_packed_topk_with`] for the steady-state packed
-/// form and the mode semantics).
 ///
 /// # Panics
 ///
@@ -279,42 +242,19 @@ pub fn scan_database_topk_with<S: Symbol>(
     k: usize,
     workers: Option<usize>,
 ) -> TopKScan {
-    use rl_bio::PackedSeq;
-
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     scan_packed_topk_with(cfg, &q, &patterns, k, workers)
 }
 
-/// [`scan_database_topk`] over an already-packed database — the
+/// [`scan_database_topk_with`] over an already-packed database — the
 /// steady-state form for callers that keep their database in
-/// [`rl_bio::PackedSeq`] form and scan it repeatedly (no per-scan
-/// packing or cloning; the fixed query is transposed into each stripe
-/// plane once and reused).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_packed_topk<S: Symbol>(
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-    workers: Option<usize>,
-) -> TopKScan {
-    let mut cfg = AlignConfig::new(weights);
-    cfg.threshold = threshold;
-    scan_packed_topk_with(&cfg, query, database, k, workers)
-}
-
-/// [`scan_packed_topk`] under a full [`AlignConfig`] — mode, band,
-/// packer and threshold included. This is the paper's actual §6
-/// workload once the engine speaks modes: a **semi-global** ratcheted
-/// top-k scan (`cfg.with_mode(AlignMode::SemiGlobal)`) races "does Q
-/// occur anywhere in this entry?" across the database on the striped
-/// batch kernel, the ratchet tightening on the best window scores. The
+/// [`PackedSeq`] form and scan it repeatedly (no per-scan packing or
+/// cloning). This is the paper's actual §6 workload once the engine
+/// speaks modes: a **semi-global** ratcheted top-k scan
+/// (`cfg.with_mode(AlignMode::SemiGlobal)`) races "does Q occur
+/// anywhere in this entry?" across the database on the striped batch
+/// kernel, the ratchet tightening on the best window scores. The
 /// determinism guarantee is mode-independent: every min-plus mode's
 /// abandon is a strict lower-bound proof.
 ///
@@ -326,8 +266,8 @@ pub fn scan_packed_topk<S: Symbol>(
 #[must_use]
 pub fn scan_packed_topk_with<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
     workers: Option<usize>,
 ) -> TopKScan {
@@ -357,56 +297,142 @@ pub fn scan_packed_topk_with<S: Symbol>(
     }
 }
 
-/// Validates a top-k scan request before any racing: the configuration
-/// itself ([`AlignConfig::validate`]'s rules), the min-plus
-/// requirement, `1 ≤ k ≤ database.len()`, non-empty sequences, and
-/// kernel-word eligibility for the scan's largest shape.
+/// What a resumable scan races against, borrowed: an in-memory packed
+/// database, or a persistent store target whose pending entries each
+/// segment materializes through the store's quarantine ladder.
+#[derive(Clone, Copy)]
+pub(crate) enum ScanDb<'a, S: Symbol> {
+    /// An in-memory packed database.
+    Memory(&'a [PackedSeq<S>]),
+    /// A persistent store target (primary plus replicas).
+    Store(&'a StoreTarget<S>),
+}
+
+impl<S: Symbol> ScanDb<'_, S> {
+    /// Entries in the database.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            ScanDb::Memory(db) => db.len(),
+            ScanDb::Store(target) => target.store().len(),
+        }
+    }
+
+    /// The length of entry `i` — from the manifest for a store, so
+    /// validation and admission pricing never touch a payload chunk.
+    fn entry_len(self, i: usize) -> usize {
+        match self {
+            ScanDb::Memory(db) => db[i].len(),
+            ScanDb::Store(target) => target.store().entry_len(i),
+        }
+    }
+
+    /// The content hash a resume token over this database carries
+    /// (`None` in memory).
+    fn content_hash(self) -> Option<u64> {
+        match self {
+            ScanDb::Memory(_) => None,
+            ScanDb::Store(target) => Some(target.content_hash()),
+        }
+    }
+
+    /// Banded grid cells `query_len` races against the entries `ids`,
+    /// assuming no early abandons — the admission-control cost.
+    pub(crate) fn cells(
+        self,
+        cfg: &AlignConfig,
+        query_len: usize,
+        ids: impl Iterator<Item = usize>,
+    ) -> u64 {
+        ids.map(|i| crate::striped::grid_cells(query_len, self.entry_len(i), cfg.band))
+            .sum()
+    }
+}
+
+/// The one scan validator: the configuration itself
+/// ([`AlignConfig::validate`]'s rules), the min-plus requirement,
+/// `1 ≤ k ≤ entries`, non-empty sequences, and kernel-word eligibility
+/// for the scan's largest shape. Lengths come from the manifest for a
+/// store, so validation loads no payload.
 pub(crate) fn validate_scan<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    db: ScanDb<'_, S>,
     k: usize,
 ) -> Result<(), AlignError> {
+    let invalid = |reason: String| Err(AlignError::InvalidConfig { reason });
     cfg.validate()?;
     if !cfg.mode.is_min_plus() {
-        return Err(AlignError::InvalidConfig {
-            reason: "the ratcheted top-k scan races min-plus modes \
-                     (global/semi-global/affine); local (max-plus) best-hit scans \
-                     have no sound frontier abandon"
+        return invalid(
+            "the ratcheted top-k scan races min-plus modes \
+             (global/semi-global/affine); local (max-plus) best-hit scans \
+             have no sound frontier abandon"
                 .into(),
-        });
+        );
     }
     if k == 0 {
-        return Err(AlignError::InvalidConfig {
-            reason: "top-k scan needs k >= 1".into(),
-        });
+        return invalid("top-k scan needs k >= 1".into());
     }
-    if k > database.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "k = {k} exceeds the database size {}: every entry would be a hit \
-                 and the ratchet could never tighten",
-                database.len()
-            ),
-        });
+    if k > db.len() {
+        return invalid(format!(
+            "k = {k} exceeds the database size {}: every entry would be a hit \
+             and the ratchet could never tighten",
+            db.len()
+        ));
     }
     if query.is_empty() {
-        return Err(AlignError::InvalidConfig {
-            reason: "empty query: a zero-length race has no cells to time".into(),
-        });
+        return invalid("empty query: a zero-length race has no cells to time".into());
     }
-    if let Some(i) = database.iter().position(rl_bio::PackedSeq::is_empty) {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("database entry {i} is empty"),
-        });
+    let mut m_max = 0;
+    for i in 0..db.len() {
+        match db.entry_len(i) {
+            0 => return invalid(format!("database entry {i} is empty")),
+            m => m_max = m_max.max(m),
+        }
     }
-    let m_max = database
-        .iter()
-        .map(rl_bio::PackedSeq::len)
-        .max()
-        .unwrap_or(0);
     cfg.checked_lane_width(query.len(), m_max)?;
     Ok(())
+}
+
+/// The one token↔database binding check: a [`ResumeToken`] continues
+/// only the scan that issued it — the same `k`, an in-memory token
+/// against an in-memory database and a store token against a store of
+/// identical content, the same entry count, and pending indices inside
+/// the database. Resuming anything else could double-count or
+/// mis-attribute pairs.
+pub(crate) fn bind_token<S: Symbol>(
+    token: &ResumeToken,
+    db: ScanDb<'_, S>,
+    k: usize,
+) -> Result<(), AlignError> {
+    let reason = if token.k != k {
+        format!(
+            "resume token was issued for a top-{} scan, not top-{k}",
+            token.k
+        )
+    } else if token.db_hash != db.content_hash() {
+        match (token.db_hash, db.content_hash()) {
+            (Some(hash), None) => format!(
+                "resume token is bound to persistent store content {hash:#018x}; \
+                 resume it against that store, not an in-memory database"
+            ),
+            (Some(hash), Some(found)) => format!(
+                "resume token is bound to store content {hash:#018x}, but this store's \
+                 content hash is {found:#018x} — the database was rebuilt or differs"
+            ),
+            _ => "resume token was issued by an in-memory scan, not this store".into(),
+        }
+    } else if token.total_pairs != db.len() {
+        format!(
+            "resume token was issued for a database of {} entries, not {}",
+            token.total_pairs,
+            db.len()
+        )
+    } else if let Some(bad) = token.pending_indices().find(|&i| i >= db.len()) {
+        format!("resume token references pair {bad} beyond the database")
+    } else {
+        return Ok(());
+    };
+    Err(AlignError::InvalidConfig { reason })
 }
 
 /// Fallible form of [`scan_database_topk_with`]: rejects a bad request
@@ -420,8 +446,6 @@ pub fn try_scan_database_topk_with<S: Symbol>(
     k: usize,
     workers: Option<usize>,
 ) -> Result<TopKScan, AlignError> {
-    use rl_bio::PackedSeq;
-
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     try_scan_packed_topk_with(cfg, &q, &patterns, k, workers)
@@ -431,17 +455,17 @@ pub fn try_scan_database_topk_with<S: Symbol>(
 /// [`try_scan_database_topk_with`], over an already-packed database.
 pub fn try_scan_packed_topk_with<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
     workers: Option<usize>,
 ) -> Result<TopKScan, AlignError> {
-    validate_scan(cfg, query, database, k)?;
+    validate_scan(cfg, query, ScanDb::Memory(database), k)?;
     Ok(scan_packed_topk_with(cfg, query, database, k, workers))
 }
 
-/// Supervised form of [`scan_database_topk_with`]: validates the
-/// request, then runs the ratcheted scan under `ctrl` — cooperative
+/// Supervised form of [`scan_packed_topk_with`]: validates the request,
+/// then runs the ratcheted scan under `ctrl` — cooperative
 /// cancellation, deadline and cell-budget stops, per-stripe panic
 /// isolation with per-pair fallback retry, and the fault ledger
 /// ([`crate::supervisor`]).
@@ -450,29 +474,13 @@ pub fn try_scan_packed_topk_with<S: Symbol>(
 /// (`stop` set, accounting invariant `completed + faulted + remaining
 /// == total`); `Err` is reserved for requests rejected up front. When
 /// the scan completes with every fault recovered, [`ScanOutcome::hits`]
-/// is byte-identical to the unsupervised [`TopKScan::hits`].
-pub fn scan_database_topk_supervised<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    k: usize,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<ScanOutcome, AlignError> {
-    use rl_bio::PackedSeq;
-
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    scan_packed_topk_supervised(cfg, &q, &patterns, k, workers, ctrl)
-}
-
-/// Supervised form of [`scan_packed_topk_with`]; see
-/// [`scan_database_topk_supervised`] for the semantics. A thin wrapper
-/// over [`scan_packed_topk_resumable`] that drops the resume token.
+/// is byte-identical to the unsupervised [`TopKScan::hits`]. A thin
+/// wrapper over [`scan_packed_topk_resumable`] that drops the resume
+/// token.
 pub fn scan_packed_topk_supervised<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
     workers: Option<usize>,
     ctrl: &ScanControl,
@@ -491,29 +499,13 @@ pub fn scan_packed_topk_supervised<S: Symbol>(
 /// `None` means nothing is left to resume.
 pub fn scan_packed_topk_resumable<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_scan(cfg, query, database, k)?;
-    let fresh = ResumeToken {
-        k,
-        total_pairs: database.len(),
-        remaining: (0..database.len()).collect(),
-        retryable: Vec::new(),
-        hits: Vec::new(),
-        completed_pairs: 0,
-        abandoned: 0,
-        cells_computed: 0,
-        faults: Vec::new(),
-        attempt: 0,
-        db_hash: None,
-    };
-    Ok(run_resume_segment(
-        cfg, query, database, fresh, workers, ctrl,
-    ))
+    run_scan(cfg, query, ScanDb::Memory(database), k, None, workers, ctrl)
 }
 
 /// Continues an interrupted scan from its [`ResumeToken`]: runs only
@@ -524,59 +516,74 @@ pub fn scan_packed_topk_resumable<S: Symbol>(
 /// segment included — so the invariant `completed + faulted +
 /// remaining == total` keeps holding across any number of resumes.
 ///
-/// The token must come from a scan of this same `query`/`database`
-/// (same `cfg`); a token sized for a different database is rejected.
+/// The token must come from an in-memory scan of this same
+/// `query`/`database` (same `cfg`); any other token is rejected.
 pub fn scan_packed_topk_resume<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     token: ResumeToken,
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_scan(cfg, query, database, token.k)?;
-    if let Some(hash) = token.db_hash {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token is bound to persistent store content {hash:#018x}; \
-                 resume it through the store scan, not the in-memory one"
-            ),
-        });
-    }
-    if token.total_pairs != database.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token was issued for a database of {} entries, not {}",
-                token.total_pairs,
-                database.len()
-            ),
-        });
-    }
-    if let Some(&bad) = token
-        .remaining
-        .iter()
-        .chain(&token.retryable)
-        .find(|&&i| i >= database.len())
-    {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("resume token references pair {bad} beyond the database"),
-        });
-    }
-    Ok(run_resume_segment(
-        cfg, query, database, token, workers, ctrl,
-    ))
+    run_scan(
+        cfg,
+        query,
+        ScanDb::Memory(database),
+        token.k,
+        Some(token),
+        workers,
+        ctrl,
+    )
 }
 
-/// Runs one segment of a (possibly resumed) scan — the token's
-/// remaining pairs — and merges the result with the token's carried
-/// state into a cumulative [`ScanOutcome`] plus the next checkpoint.
-/// Segment-local slot positions and fault indices are remapped to
-/// original database indices here; the remap is monotone (the
-/// remaining set is kept ascending), so ledger ordering is preserved.
-fn run_resume_segment<S: Symbol>(
+/// The one scan segment runner behind every resumable entry point —
+/// in-memory, store-backed and [`crate::service::ScanService`] alike:
+/// validates the request, binds the token (if any) to `db`, runs the
+/// token's pending pairs (every pair, for a fresh scan), and merges the
+/// segment into a cumulative [`ScanOutcome`] plus the next checkpoint.
+pub(crate) fn run_scan<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    db: ScanDb<'_, S>,
+    k: usize,
+    token: Option<ResumeToken>,
+    workers: Option<usize>,
+    ctrl: &ScanControl,
+) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
+    validate_scan(cfg, query, db, k)?;
+    let carried = match token {
+        Some(token) => {
+            bind_token(&token, db, k)?;
+            token
+        }
+        None => ResumeToken {
+            k,
+            total_pairs: db.len(),
+            remaining: (0..db.len()).collect(),
+            retryable: Vec::new(),
+            hits: Vec::new(),
+            completed_pairs: 0,
+            abandoned: 0,
+            cells_computed: 0,
+            faults: Vec::new(),
+            attempt: 0,
+            db_hash: db.content_hash(),
+        },
+    };
+    Ok(run_segment(cfg, query, db, carried, workers, ctrl))
+}
+
+/// Runs one segment of a (possibly resumed) scan — the token's pending
+/// pairs — and merges the result with the token's carried state.
+/// Store entries are first materialized through the quarantine ladder;
+/// entries it loses join the faulted (retryable) set. Segment-local
+/// slot positions and fault indices are remapped to original database
+/// indices here.
+fn run_segment<S: Symbol>(
+    cfg: &AlignConfig,
+    query: &PackedSeq<S>,
+    db: ScanDb<'_, S>,
     carried: ResumeToken,
     workers: Option<usize>,
     ctrl: &ScanControl,
@@ -584,7 +591,7 @@ fn run_resume_segment<S: Symbol>(
     let ResumeToken {
         k,
         total_pairs,
-        remaining: ids,
+        remaining: pending,
         retryable: mut faulted,
         hits: mut all_hits,
         completed_pairs: mut completed,
@@ -594,7 +601,21 @@ fn run_resume_segment<S: Symbol>(
         attempt,
         db_hash,
     } = carried;
-    let pairs: Vec<_> = ids.iter().map(|&i| (query, &database[i])).collect();
+    let first_new_fault = all_faults.len();
+
+    let (materialized, store_faults, lost) = match db {
+        ScanDb::Memory(_) => Default::default(),
+        ScanDb::Store(target) => crate::store::materialize_pending(target, &pending, ctrl),
+    };
+    all_faults.extend(store_faults);
+    faulted.extend(lost);
+    let (ids, pairs): (Vec<usize>, Vec<_>) = match db {
+        ScanDb::Memory(entries) => pending.iter().map(|&i| (i, (query, &entries[i]))).unzip(),
+        ScanDb::Store(_) => materialized
+            .iter()
+            .map(|(i, seq)| (*i, (query, seq)))
+            .unzip(),
+    };
     let mut scratch = crate::striped::BatchScratch::default();
     let (slots, report) = crate::striped::scan_topk_resume_impl(
         cfg,
@@ -608,31 +629,35 @@ fn run_resume_segment<S: Symbol>(
     );
 
     let mut remaining = Vec::new();
-    for (pos, slot) in slots.iter().enumerate() {
-        let idx = ids[pos];
-        if let Some(outcome) = slot.outcome() {
-            completed += 1;
-            cells += outcome.cells_computed;
-            match outcome.finished_score() {
-                Some(score) => all_hits.push((idx, score)),
-                None => abandoned_count += 1,
+    for (&idx, slot) in ids.iter().zip(&slots) {
+        match slot {
+            Slot::Done(outcome) => {
+                completed += 1;
+                cells += outcome.cells_computed;
+                match outcome.finished_score() {
+                    Some(score) => all_hits.push((idx, score)),
+                    None => abandoned_count += 1,
+                }
             }
-        } else if matches!(slot, crate::striped::Slot::Faulted) {
-            faulted.push(idx);
-        } else {
-            remaining.push(idx);
+            Slot::Faulted => faulted.push(idx),
+            Slot::Pending => remaining.push(idx),
         }
     }
     all_hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
     all_hits.truncate(k);
+    // Store materialization walks shard groups, not ascending input
+    // order, so re-establish the token's ascending-index invariant.
+    remaining.sort_unstable();
     faulted.sort_unstable();
     all_faults.extend(report.faults.into_iter().map(|mut f| {
         for p in &mut f.pairs {
             *p = ids[*p];
         }
-        f.attempt = attempt;
         f
     }));
+    for f in &mut all_faults[first_new_fault..] {
+        f.attempt = attempt;
+    }
 
     let outcome = ScanOutcome {
         hits: all_hits.clone(),
@@ -668,13 +693,10 @@ fn run_resume_segment<S: Symbol>(
 #[must_use]
 pub fn estimate_scan_cells<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
 ) -> u64 {
-    database
-        .iter()
-        .map(|p| crate::striped::grid_cells(query.len(), p.len(), cfg.band))
-        .sum()
+    ScanDb::Memory(database).cells(cfg, query.len(), 0..database.len())
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@
 //!   with rayon, one persistent scratch arena per worker
 //!   ([`BatchEngine`]), results in input order — and byte-identical to
 //!   the sequential loop. The §6 database scan sharpens this into
-//!   [`crate::early_termination::scan_database_topk`], whose shared
+//!   [`crate::early_termination::scan_database_topk_with`], whose shared
 //!   top-k ratchet tightens the fused threshold as hits land.
 //!
 //! See `docs/KERNELS.md` in the repository root for memory layouts, the
@@ -2472,8 +2472,8 @@ impl BatchEngine {
     }
 
     /// [`BatchEngine::align_batch`] under a [`ScanControl`]: the batch
-    /// checkpoints the control between work units (and inside the
-    /// per-pair kernels), isolates worker panics per unit, retries a
+    /// checkpoints the control as it claims each work unit (and inside
+    /// the per-pair kernels), isolates worker panics per unit, retries a
     /// quarantined stripe's members on the per-pair fallback kernel,
     /// and returns a typed partial ledger instead of crashing or
     /// blocking. When nothing stops or faults, `outcomes` equals the
@@ -2484,16 +2484,7 @@ impl BatchEngine {
         ctrl: &ScanControl,
     ) -> crate::supervisor::BatchReport {
         let refs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = pairs.iter().map(|(q, p)| (q, p)).collect();
-        self.align_batch_refs_supervised(&refs, ctrl)
-    }
-
-    /// [`BatchEngine::align_batch_supervised`] over borrowed operands.
-    pub fn align_batch_refs_supervised<S: Symbol>(
-        &mut self,
-        pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-        ctrl: &ScanControl,
-    ) -> crate::supervisor::BatchReport {
-        crate::striped::align_batch_supervised_impl(&self.cfg, pairs, &mut self.scratch, ctrl)
+        crate::striped::align_batch_supervised_impl(&self.cfg, &refs, &mut self.scratch, ctrl)
     }
 
     /// [`BatchEngine::new`] with a typed error instead of a panic.

@@ -77,6 +77,7 @@ use std::sync::{Arc, Mutex};
 
 use rl_bio::{alphabet::Symbol, PackedSeq};
 
+use crate::early_termination::{run_scan, ScanDb};
 use crate::engine::AlignConfig;
 use crate::error::AlignError;
 use crate::supervisor::{fp_hit, panic_message, Fault, ResumeToken, ScanControl, ScanOutcome};
@@ -1211,48 +1212,6 @@ pub fn estimate_store_scan_cells<S: Symbol>(
     }
 }
 
-/// Validates a store-backed top-k scan request: the same rules as the
-/// in-memory [`crate::early_termination`] validator (min-plus mode,
-/// `1 ≤ k ≤ entries`, non-empty query, kernel-word eligibility for the
-/// largest shape), priced from the manifest.
-pub(crate) fn validate_store_scan<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    store: &PackedStore<S>,
-    k: usize,
-) -> Result<(), AlignError> {
-    cfg.validate()?;
-    if !cfg.mode.is_min_plus() {
-        return Err(AlignError::InvalidConfig {
-            reason: "the ratcheted top-k scan races min-plus modes \
-                     (global/semi-global/affine); local (max-plus) best-hit scans \
-                     have no sound frontier abandon"
-                .into(),
-        });
-    }
-    if k == 0 {
-        return Err(AlignError::InvalidConfig {
-            reason: "top-k scan needs k >= 1".into(),
-        });
-    }
-    if k > store.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "k = {k} exceeds the store size {}: every entry would be a hit \
-                 and the ratchet could never tighten",
-                store.len()
-            ),
-        });
-    }
-    if query.is_empty() {
-        return Err(AlignError::InvalidConfig {
-            reason: "empty query: a zero-length race has no cells to time".into(),
-        });
-    }
-    cfg.checked_lane_width(query.len(), store.max_entry_len())?;
-    Ok(())
-}
-
 /// A store-backed [`crate::early_termination::scan_packed_topk_resumable`]:
 /// races `query` against every entry of `target` for the `k` best hits
 /// under `ctrl`, reporting hits and ledger entries in the caller's
@@ -1278,30 +1237,15 @@ pub fn scan_store_topk_resumable<S: Symbol>(
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_store_scan(cfg, query, target.store(), k)?;
-    let fresh = ResumeToken {
-        k,
-        total_pairs: target.store().len(),
-        remaining: (0..target.store().len()).collect(),
-        retryable: Vec::new(),
-        hits: Vec::new(),
-        completed_pairs: 0,
-        abandoned: 0,
-        cells_computed: 0,
-        faults: Vec::new(),
-        attempt: 0,
-        db_hash: Some(target.content_hash()),
-    };
-    Ok(run_store_segment(cfg, query, target, fresh, workers, ctrl))
+    run_scan(cfg, query, ScanDb::Store(target), k, None, workers, ctrl)
 }
 
 /// Continues an interrupted store scan from its [`ResumeToken`] (the
 /// store analogue of
-/// [`crate::early_termination::scan_packed_topk_resume`]). On top of
-/// the in-memory validator's checks, the token must carry this target's
-/// content hash: a token from a rebuilt, corrupted, or different store
-/// is rejected with a typed error — resuming it could double-count or
-/// mis-attribute pairs.
+/// [`crate::early_termination::scan_packed_topk_resume`]). The token
+/// must carry this target's content hash: a token from a rebuilt,
+/// corrupted, or different store is rejected with a typed error —
+/// resuming it could double-count or mis-attribute pairs.
 pub fn scan_store_topk_resume<S: Symbol>(
     cfg: &AlignConfig,
     query: &PackedSeq<S>,
@@ -1310,44 +1254,15 @@ pub fn scan_store_topk_resume<S: Symbol>(
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_store_scan(cfg, query, target.store(), token.k)?;
-    match token.db_hash {
-        Some(hash) if hash == target.content_hash() => {}
-        Some(hash) => {
-            return Err(AlignError::InvalidConfig {
-                reason: format!(
-                    "resume token is bound to store content {hash:#018x}, but this store's \
-                     content hash is {:#018x} — the database was rebuilt or differs",
-                    target.content_hash()
-                ),
-            })
-        }
-        None => {
-            return Err(AlignError::InvalidConfig {
-                reason: "resume token was issued by an in-memory scan, not this store".into(),
-            })
-        }
-    }
-    if token.total_pairs != target.store().len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token was issued for a database of {} entries, not {}",
-                token.total_pairs,
-                target.store().len()
-            ),
-        });
-    }
-    if let Some(&bad) = token
-        .remaining
-        .iter()
-        .chain(&token.retryable)
-        .find(|&&i| i >= target.store().len())
-    {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("resume token references pair {bad} beyond the database"),
-        });
-    }
-    Ok(run_store_segment(cfg, query, target, token, workers, ctrl))
+    run_scan(
+        cfg,
+        query,
+        ScanDb::Store(target),
+        token.k,
+        Some(token),
+        workers,
+        ctrl,
+    )
 }
 
 /// What [`materialize_pending`] hands back: the materialized
@@ -1359,8 +1274,10 @@ type Materialized<S> = (Vec<(usize, PackedSeq<S>)>, Vec<Fault>, Vec<usize>);
 /// shard group, applying the quarantine ladder: primary → first healthy
 /// replica → faulted (retryable). Each group's load is traced (with the
 /// chunk-load / cache-hit deltas it caused) into `ctrl`'s timeline, and
-/// an unrecovered quarantine triggers a flight-recorder dump.
-fn materialize_pending<S: Symbol>(
+/// an unrecovered quarantine triggers a flight-recorder dump. The only
+/// store-specific step of a scan segment: the segment runner in
+/// [`crate::early_termination`] races what this returns.
+pub(crate) fn materialize_pending<S: Symbol>(
     target: &StoreTarget<S>,
     ids: &[usize],
     ctrl: &ScanControl,
@@ -1452,111 +1369,6 @@ fn materialize_pending<S: Symbol>(
         }
     }
     (out, faults, lost)
-}
-
-/// Runs one segment of a (possibly resumed) store scan: materializes
-/// the pending entries through the quarantine ladder, races the healthy
-/// ones on the shared striped pipeline, and merges the segment into the
-/// cumulative ledger — the store counterpart of
-/// `early_termination::run_resume_segment`, plus store faults.
-fn run_store_segment<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    target: &StoreTarget<S>,
-    carried: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> (ScanOutcome, Option<ResumeToken>) {
-    let ResumeToken {
-        k,
-        total_pairs,
-        remaining: pending,
-        retryable: mut faulted,
-        hits: mut all_hits,
-        completed_pairs: mut completed,
-        abandoned: mut abandoned_count,
-        cells_computed: mut cells,
-        faults: mut all_faults,
-        attempt,
-        db_hash,
-    } = carried;
-
-    let (materialized, store_faults, lost) = materialize_pending(target, &pending, ctrl);
-    all_faults.extend(store_faults.into_iter().map(|mut f| {
-        f.attempt = attempt;
-        f
-    }));
-    faulted.extend(lost);
-
-    let ids: Vec<usize> = materialized.iter().map(|(id, _)| *id).collect();
-    let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> =
-        materialized.iter().map(|(_, seq)| (query, seq)).collect();
-    let mut scratch = crate::striped::BatchScratch::default();
-    let (slots, report) = crate::striped::scan_topk_resume_impl(
-        cfg,
-        &pairs,
-        &ids,
-        k,
-        &all_hits,
-        workers,
-        &mut scratch,
-        ctrl,
-    );
-
-    let mut remaining = Vec::new();
-    for (pos, slot) in slots.iter().enumerate() {
-        let idx = ids[pos];
-        if let Some(outcome) = slot.outcome() {
-            completed += 1;
-            cells += outcome.cells_computed;
-            match outcome.finished_score() {
-                Some(score) => all_hits.push((idx, score)),
-                None => abandoned_count += 1,
-            }
-        } else if matches!(slot, crate::striped::Slot::Faulted) {
-            faulted.push(idx);
-        } else {
-            remaining.push(idx);
-        }
-    }
-    all_hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
-    all_hits.truncate(k);
-    // Materialization walks shard groups, not ascending input order, so
-    // re-establish the token's ascending-index invariant here.
-    remaining.sort_unstable();
-    faulted.sort_unstable();
-    all_faults.extend(report.faults.into_iter().map(|mut f| {
-        for p in &mut f.pairs {
-            *p = ids[*p];
-        }
-        f.attempt = attempt;
-        f
-    }));
-
-    let outcome = ScanOutcome {
-        hits: all_hits.clone(),
-        completed_pairs: completed,
-        faulted_pairs: faulted.len(),
-        total_pairs,
-        abandoned: abandoned_count,
-        cells_computed: cells,
-        faults: all_faults.clone(),
-        stop: report.stop,
-    };
-    let token = (!remaining.is_empty() || !faulted.is_empty()).then_some(ResumeToken {
-        k,
-        total_pairs,
-        remaining,
-        retryable: faulted,
-        hits: all_hits,
-        completed_pairs: completed,
-        abandoned: abandoned_count,
-        cells_computed: cells,
-        faults: all_faults,
-        attempt,
-        db_hash,
-    });
-    (outcome, token)
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@
 //! positions are masked out of the lane's minima and counts.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use rayon::prelude::*;
 use rl_bio::{alphabet::Symbol, PackedSeq, StripedCodes};
@@ -127,9 +127,7 @@ pub(crate) fn grid_cells(n: usize, m: usize, band: Option<usize>) -> u64 {
 }
 
 /// One schedulable unit of batch work: either a striped cohort sweep or
-/// a run of per-pair alignments. `members` are indices into the batch;
-/// `results`/`states` are filled by the worker and scattered back
-/// afterwards.
+/// one per-pair alignment. `members` are indices into the batch.
 struct WorkUnit {
     striped: bool,
     /// Stripe lane width, resolved **once** by the planner from the
@@ -138,19 +136,30 @@ struct WorkUnit {
     /// swept at.
     width: LaneWidth,
     members: Vec<usize>,
-    results: Vec<EngineOutcome>,
-    states: Vec<SlotState>,
 }
 
-/// Completion state of one pair inside a work unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Never reached: an early stop drained the queue first.
-    Pending,
-    /// Finished; the matching `results` entry is valid.
-    Done,
-    /// Lost to an unrecovered worker fault.
-    Faulted,
+impl WorkUnit {
+    /// A per-pair unit: pair `i` alone, on its own kernel plan.
+    fn per_pair(i: usize) -> Self {
+        WorkUnit {
+            striped: false,
+            width: LaneWidth::U64,
+            members: vec![i],
+        }
+    }
+
+    /// The unit's planned grid cells: its members' own banded cell
+    /// counts, an upper bound on what running the unit can charge.
+    fn planned_cells<S: Symbol>(
+        &self,
+        cfg: &AlignConfig,
+        pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    ) -> u64 {
+        self.members
+            .iter()
+            .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
+            .sum()
+    }
 }
 
 /// Per-pair result slot of a supervised run: `Done` carries the
@@ -177,23 +186,19 @@ impl Slot {
     }
 }
 
-/// Shared fault/stop ledger of one `run_units` execution. Poison-
-/// tolerant locks: a worker panic between lock and unlock (possible
-/// only via injected failpoints) must not wedge the other workers'
-/// accounting.
+/// Shared fault/stop ledger of one `run_units` execution. The fault
+/// lock is poison-tolerant: a worker panic between lock and unlock
+/// (possible only via injected failpoints) must not wedge the other
+/// workers' accounting.
+#[derive(Default)]
 struct ExecLedger {
     faults: Mutex<Vec<Fault>>,
-    stop: Mutex<Option<StopReason>>,
+    /// The first stop any worker observed; once set, no worker claims
+    /// another unit.
+    stop: OnceLock<StopReason>,
 }
 
 impl ExecLedger {
-    fn new() -> Self {
-        ExecLedger {
-            faults: Mutex::new(Vec::new()),
-            stop: Mutex::new(None),
-        }
-    }
-
     fn note_fault(&self, fault: Fault) {
         self.faults
             .lock()
@@ -204,11 +209,7 @@ impl ExecLedger {
     /// First stop wins: later workers noticing the same (or a different)
     /// condition do not overwrite the original reason.
     fn note_stop(&self, stop: StopReason) {
-        let mut slot = self
-            .stop
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        slot.get_or_insert(stop);
+        let _ = self.stop.set(stop);
     }
 
     fn into_report(self) -> RunReport {
@@ -221,10 +222,7 @@ impl ExecLedger {
         faults.sort_by(|a, b| (a.pairs.first(), &a.site).cmp(&(b.pairs.first(), &b.site)));
         RunReport {
             faults,
-            stop: self
-                .stop
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            stop: self.stop.into_inner(),
         }
     }
 }
@@ -236,13 +234,17 @@ pub(crate) struct RunReport {
     pub(crate) stop: Option<StopReason>,
 }
 
-/// Reusable per-worker scratch: a per-pair fallback engine plus the
-/// striped-sweep arena. Owned by [`BatchScratch`] so both survive
-/// across stripes *and* across `align_batch` calls on one
-/// [`crate::engine::BatchEngine`].
+/// Reusable per-worker scratch: a per-pair fallback engine, the
+/// striped-sweep arena, and the result slots of the unit in hand. Owned
+/// by [`BatchScratch`] so all of it survives across units *and* across
+/// `align_batch` calls on one [`crate::engine::BatchEngine`].
 struct WorkerScratch {
     engine: AlignEngine,
     stripe: StripeScratch,
+    /// Sweep output of the current unit, one entry per member.
+    results: Vec<EngineOutcome>,
+    /// Completion state of the current unit's members.
+    slots: Vec<Slot>,
 }
 
 /// The plan-level scratch arena of [`crate::engine::BatchEngine`]: one
@@ -264,6 +266,8 @@ impl BatchScratch {
             self.workers.push(WorkerScratch {
                 engine: AlignEngine::new(*cfg),
                 stripe: StripeScratch::new(),
+                results: Vec::new(),
+                slots: Vec::new(),
             });
         }
     }
@@ -277,29 +281,30 @@ pub(crate) fn align_batch_impl<S: Symbol>(
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     scratch: &mut BatchScratch,
 ) -> Vec<EngineOutcome> {
-    let mut out = vec![EngineOutcome::default(); pairs.len()];
     if pairs.is_empty() {
-        return out;
+        return Vec::new();
     }
     let units = plan_units(cfg, pairs);
-    let mut slots = vec![Slot::Pending; pairs.len()];
-    run_units(
-        cfg, pairs, units, scratch, None, None, None, true, &mut slots,
-    );
-    for (o, slot) in out.iter_mut().zip(&slots) {
-        match slot {
-            Slot::Done(r) => *o = *r,
-            _ => unreachable!("an unsupervised batch run completes every pair"),
-        }
-    }
-    out
+    let (slots, _) = run_units(cfg, pairs, &units, scratch, None, None, None, true);
+    completed(slots)
+}
+
+/// The outcomes of an unsupervised run, in input order.
+fn completed(slots: Vec<Slot>) -> Vec<EngineOutcome> {
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Done(r) => r,
+            _ => unreachable!("an unsupervised run completes every pair"),
+        })
+        .collect()
 }
 
 /// The supervised batch entry point behind
 /// [`crate::engine::BatchEngine::align_batch_supervised`]: same plan
 /// and kernels as [`align_batch_impl`], but worker panics are isolated
 /// (quarantine + per-pair fallback retry) and the [`ScanControl`] is
-/// honored between work units and inside the per-pair kernels.
+/// honored at every unit claim and inside the per-pair kernels.
 pub(crate) fn align_batch_supervised_impl<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
@@ -307,24 +312,15 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
     ctrl: &ScanControl,
 ) -> BatchReport {
     let mut faults = Vec::new();
-    let mut slots = vec![Slot::Pending; pairs.len()];
-    let mut stop = None;
-    if !pairs.is_empty() {
+    let (slots, stop) = if pairs.is_empty() {
+        (Vec::new(), None)
+    } else {
         let units = plan_units_guarded(cfg, pairs, &mut faults);
-        let mut report = run_units(
-            cfg,
-            pairs,
-            units,
-            scratch,
-            None,
-            None,
-            Some(ctrl),
-            false,
-            &mut slots,
-        );
+        let (slots, mut report) =
+            run_units(cfg, pairs, &units, scratch, None, None, Some(ctrl), false);
         faults.append(&mut report.faults);
-        stop = report.stop;
-    }
+        (slots, report.stop)
+    };
     let outcomes: Vec<Option<EngineOutcome>> = slots.iter().map(|s| s.outcome().copied()).collect();
     let completed_pairs = outcomes.iter().filter(|o| o.is_some()).count();
     let faulted_pairs = slots.iter().filter(|s| matches!(s, Slot::Faulted)).count();
@@ -338,7 +334,7 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
 }
 
 /// The ratcheted scan pipeline behind
-/// [`crate::early_termination::scan_database_topk`]: stripes stream
+/// [`crate::early_termination::scan_packed_topk_with`]: stripes stream
 /// through the workers with a shared top-`k` score ratchet that
 /// tightens each unit's fused early-termination threshold as hits land
 /// — the scan accelerates as it goes. Score-only: abandoned entries
@@ -364,36 +360,27 @@ pub(crate) fn scan_topk_impl<S: Symbol>(
         "the ratcheted top-k scan races min-plus modes (global/semi-global/affine); \
          local (max-plus) best-hit scans have no sound frontier abandon"
     );
-    let mut out = vec![EngineOutcome::default(); pairs.len()];
     if pairs.is_empty() {
-        return out;
+        return Vec::new();
     }
     let units = plan_units(cfg, pairs);
     let ratchet = Ratchet::new(k, cfg.threshold);
-    let mut slots = vec![Slot::Pending; pairs.len()];
-    run_units(
+    let (slots, _) = run_units(
         cfg,
         pairs,
-        units,
+        &units,
         scratch,
         Some(&ratchet),
         workers,
         None,
         true,
-        &mut slots,
     );
-    for (o, slot) in out.iter_mut().zip(&slots) {
-        match slot {
-            Slot::Done(r) => *o = *r,
-            _ => unreachable!("an unsupervised scan completes every pair"),
-        }
-    }
-    out
+    completed(slots)
 }
 
-/// The supervised ratcheted scan behind
-/// [`crate::early_termination::scan_database_topk_supervised`] and its
-/// resumable forms: the [`scan_topk_impl`] pipeline with panic
+/// The supervised ratcheted scan behind every resumable scan entry
+/// point (the one segment runner in [`crate::early_termination`]): the
+/// [`scan_topk_impl`] pipeline with panic
 /// isolation and cooperative stops, over a pair *subset* (`pairs[pos]`
 /// is original database entry `ids[pos]`; a fresh scan passes the
 /// identity) under a ratchet pre-seeded with `seed`, the carried best
@@ -416,31 +403,24 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
 ) -> (Vec<Slot>, RunReport) {
     debug_assert_eq!(pairs.len(), ids.len());
     let mut faults = Vec::new();
-    let mut slots = vec![Slot::Pending; pairs.len()];
     if pairs.is_empty() {
-        return (slots, RunReport { faults, stop: None });
+        return (Vec::new(), RunReport { faults, stop: None });
     }
     let units = plan_units_guarded(cfg, pairs, &mut faults);
     let ratchet = Ratchet::seeded(k, cfg.threshold, seed, ids.to_vec());
-    let mut report = run_units(
+    let (slots, mut report) = run_units(
         cfg,
         pairs,
-        units,
+        &units,
         scratch,
         Some(&ratchet),
         workers,
         Some(ctrl),
         false,
-        &mut slots,
     );
     faults.append(&mut report.faults);
-    (
-        slots,
-        RunReport {
-            faults,
-            stop: report.stop,
-        },
-    )
+    report.faults = faults;
+    (slots, report)
 }
 
 /// Shared top-k score ratchet: a bounded worst-first heap of the best
@@ -571,101 +551,100 @@ impl StripeThreshold {
     }
 }
 
-/// Executes planned units across workers (round-robin, one scratch set
-/// per worker) and scatters results back into input order. With a
-/// `ratchet`, each unit runs under the ratchet's threshold at the
-/// moment the unit starts, and finished scores feed back into it.
+/// Executes planned units across workers and returns each pair's
+/// result slot in input order, with the run's fault/stop report. The
+/// one unit scheduler: every worker pulls the next unit off a shared
+/// cursor into its own scratch, so ragged units balance themselves and
+/// the plan does not depend on the worker count. With a `ratchet`, each
+/// unit runs under the ratchet's threshold at the moment the unit
+/// starts, and finished scores feed back into it.
 ///
-/// With a [`ScanControl`], the control is consulted before every work
-/// unit (and inside the per-pair kernels at row/diagonal granularity);
-/// units an early stop never reaches leave their slots `Pending`. With
-/// `propagate` false, worker panics are additionally isolated per unit:
-/// a poisoned stripe is quarantined and its members retried on the
-/// scalar fallback kernel (see [`run_striped_unit`]); with `propagate`
-/// true (the unsupervised entry points), panics unwind to the caller
-/// exactly as before this layer existed.
+/// With a [`ScanControl`], every unit is first *claimed*
+/// ([`ScanControl::claim`]): the stop conditions are checked, with the
+/// cell budget counting the planned cells of units still in flight, so
+/// the budget overshoots by at most one unit at any worker count. The
+/// per-pair kernels additionally check at row/diagonal granularity.
+/// Once any worker observes a stop, no worker claims another unit;
+/// units never claimed leave their slots `Pending`. With `propagate`
+/// false, worker panics are isolated per unit: a poisoned stripe is
+/// quarantined and its members retried on the scalar fallback kernel
+/// (see [`run_striped_unit`]); with `propagate` true (the unsupervised
+/// entry points), panics unwind to the caller.
 #[allow(clippy::too_many_arguments)]
 fn run_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    units: Vec<WorkUnit>,
+    units: &[WorkUnit],
     scratch: &mut BatchScratch,
     ratchet: Option<&Ratchet>,
     workers: Option<usize>,
     ctrl: Option<&ScanControl>,
     propagate: bool,
-    out: &mut [Slot],
-) -> RunReport {
+) -> (Vec<Slot>, RunReport) {
     let n_workers = workers
         .unwrap_or_else(rayon::current_num_threads)
         .min(units.len())
         .max(1);
     scratch.ensure(n_workers, cfg);
-    let ledger = ExecLedger::new();
-    // Round-robin units across workers: the planner emits all striped
-    // units first and the (at most one-per-worker) per-pair units last,
-    // so contiguous chunking would pile every per-pair unit onto the
-    // final worker. Round-robin spreads both kinds.
-    struct WorkSlot<'w> {
-        units: Vec<WorkUnit>,
-        scratch: &'w mut WorkerScratch,
-    }
-    let mut slots: Vec<WorkSlot<'_>> = scratch.workers[..n_workers]
-        .iter_mut()
-        .map(|scratch| WorkSlot {
-            units: Vec::new(),
-            scratch,
-        })
-        .collect();
-    for (i, unit) in units.into_iter().enumerate() {
-        slots[i % n_workers].units.push(unit);
-    }
-    slots.par_chunks_mut(1).for_each(|slot| {
-        let slot = &mut slot[0];
-        let worker = &mut *slot.scratch;
-        for unit in &mut slot.units {
-            unit.results
-                .resize(unit.members.len(), EngineOutcome::default());
-            unit.states.resize(unit.members.len(), SlotState::Pending);
-            if ctrl.is_some() {
-                // The striped driver's unit boundary is its checkpoint:
-                // the only place a supervised batch evaluates stop
-                // conditions between whole work units.
-                telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
+    let ledger = ExecLedger::default();
+    let cursor = AtomicUsize::new(0);
+    let out = Mutex::new(vec![Slot::Pending; pairs.len()]);
+    scratch.workers[..n_workers]
+        .par_chunks_mut(1)
+        .for_each(|worker| {
+            let worker = &mut worker[0];
+            while ledger.stop.get().is_none() {
+                let Some(unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                let planned = match ctrl {
+                    Some(c) => {
+                        // The unit claim is the striped driver's checkpoint.
+                        telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
+                        let planned = unit.planned_cells(cfg, pairs);
+                        if let Err(stop) = c.claim(planned) {
+                            ledger.note_stop(stop);
+                            break;
+                        }
+                        planned
+                    }
+                    None => 0,
+                };
+                let len = unit.members.len();
+                worker.results.clear();
+                worker.results.resize(len, EngineOutcome::default());
+                worker.slots.clear();
+                worker.slots.resize(len, Slot::Pending);
+                let threshold = match ratchet {
+                    Some(r) => r
+                        .current()
+                        .map_or(StripeThreshold::None, StripeThreshold::Coarse),
+                    None => cfg
+                        .threshold
+                        .map_or(StripeThreshold::None, StripeThreshold::Exact),
+                };
+                if unit.striped {
+                    run_striped_unit(
+                        cfg, pairs, unit, threshold, worker, ratchet, ctrl, propagate, &ledger,
+                    );
+                } else {
+                    run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, propagate, &ledger);
+                }
+                if let Some(c) = ctrl {
+                    c.release(planned);
+                }
+                let mut out = out
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                for (&i, &slot) in unit.members.iter().zip(&worker.slots) {
+                    out[i] = slot;
+                }
             }
-            if let Some(stop) = ctrl.and_then(ScanControl::should_stop) {
-                ledger.note_stop(stop);
-                break;
-            }
-            let threshold = match ratchet {
-                Some(r) => match r.current() {
-                    Some(t) => StripeThreshold::Coarse(t),
-                    None => StripeThreshold::None,
-                },
-                None => match cfg.threshold {
-                    Some(t) => StripeThreshold::Exact(t),
-                    None => StripeThreshold::None,
-                },
-            };
-            if unit.striped {
-                run_striped_unit(
-                    cfg, pairs, unit, threshold, worker, ratchet, ctrl, propagate, &ledger,
-                );
-            } else {
-                run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, propagate, &ledger);
-            }
-        }
-    });
-    for unit in slots.iter().flat_map(|s| &s.units) {
-        for ((&i, &r), &state) in unit.members.iter().zip(&unit.results).zip(&unit.states) {
-            out[i] = match state {
-                SlotState::Done => Slot::Done(r),
-                SlotState::Pending => Slot::Pending,
-                SlotState::Faulted => Slot::Faulted,
-            };
-        }
-    }
-    ledger.into_report()
+        });
+    let out = out
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    (out, ledger.into_report())
 }
 
 /// Executes one striped unit: scratch-budget gate, `catch_unwind`
@@ -682,7 +661,7 @@ fn run_units<S: Symbol>(
 fn run_striped_unit<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
+    unit: &WorkUnit,
     threshold: StripeThreshold,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
@@ -729,13 +708,15 @@ fn run_striped_unit<S: Symbol>(
             unit.width,
             threshold,
             &mut worker.stripe,
-            &mut unit.results,
+            &mut worker.results,
         );
     }));
     match sweep {
         Ok(()) => {
-            unit.states.fill(SlotState::Done);
-            let cells: u64 = unit.results.iter().map(|r| r.cells_computed).sum();
+            for (slot, &r) in worker.slots.iter_mut().zip(&worker.results) {
+                *slot = Slot::Done(r);
+            }
+            let cells: u64 = worker.results.iter().map(|r| r.cells_computed).sum();
             if let Some(c) = ctrl {
                 c.charge(cells);
             }
@@ -743,7 +724,7 @@ fn run_striped_unit<S: Symbol>(
             telemetry::count(&telemetry::metrics::UNIT_PAIRS, unit.members.len() as u64);
             telemetry::observe(&telemetry::metrics::UNIT_CELLS, cells);
             if let Some(r) = ratchet {
-                for (&i, res) in unit.members.iter().zip(&unit.results) {
+                for (&i, res) in unit.members.iter().zip(&worker.results) {
                     if let Some(score) = res.finished_score() {
                         observe_guarded(r, score, i, ledger);
                     }
@@ -787,7 +768,7 @@ fn run_striped_unit<S: Symbol>(
 fn quarantine_and_retry<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
+    unit: &WorkUnit,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
     ctrl: Option<&ScanControl>,
@@ -804,7 +785,7 @@ fn quarantine_and_retry<S: Symbol>(
     let mut lost = false;
     let mut interrupted = None;
     for idx in 0..unit.members.len() {
-        if unit.states[idx] == SlotState::Done {
+        if worker.slots[idx].outcome().is_some() {
             continue;
         }
         let i = unit.members[idx];
@@ -823,8 +804,7 @@ fn quarantine_and_retry<S: Symbol>(
         telemetry::count(&telemetry::metrics::PAIR_FALLBACKS, 1);
         match catch_unwind(AssertUnwindSafe(|| worker.engine.align_ctrl(q, p, ctrl))) {
             Ok(Ok(o)) => {
-                unit.results[idx] = o;
-                unit.states[idx] = SlotState::Done;
+                worker.slots[idx] = Slot::Done(o);
                 if let Some(c) = ctrl {
                     c.trace(|| TraceEvent::PairFallback {
                         pair: i as u64,
@@ -843,7 +823,7 @@ fn quarantine_and_retry<S: Symbol>(
                 break;
             }
             Err(retry_payload) => {
-                unit.states[idx] = SlotState::Faulted;
+                worker.slots[idx] = Slot::Faulted;
                 lost = true;
                 telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
                 if let Some(c) = ctrl {
@@ -885,7 +865,7 @@ fn quarantine_and_retry<S: Symbol>(
 fn run_per_pair_unit<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
+    unit: &WorkUnit,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
     ctrl: Option<&ScanControl>,
@@ -932,7 +912,7 @@ fn run_per_pair_unit<S: Symbol>(
                         res
                     }
                     Err(retry_payload) => {
-                        unit.states[idx] = SlotState::Faulted;
+                        worker.slots[idx] = Slot::Faulted;
                         telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
                         if let Some(c) = ctrl {
                             c.trace(|| TraceEvent::PairFallback {
@@ -954,8 +934,7 @@ fn run_per_pair_unit<S: Symbol>(
         };
         match result {
             Ok(o) => {
-                unit.results[idx] = o;
-                unit.states[idx] = SlotState::Done;
+                worker.slots[idx] = Slot::Done(o);
                 if let Some(r) = ratchet {
                     if let Some(score) = o.finished_score() {
                         observe_guarded(r, score, i, ledger);
@@ -1009,8 +988,8 @@ fn stripe_scratch_bytes(
 
 /// Groups the batch into work units under the configured
 /// [`PackerPolicy`]; pairs the kernel plan resolves to the rolling row,
-/// and stripes left under [`STRIPE_MIN_PAIRS`] members, fall back to
-/// per-pair runs split evenly across workers.
+/// and stripes left under [`STRIPE_MIN_PAIRS`] members, become one
+/// per-pair unit each (the scheduler's shared cursor balances them).
 fn plan_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
@@ -1030,19 +1009,8 @@ fn plan_units<S: Symbol>(
         PackerPolicy::LengthAware => pack_length_aware(cfg, &mut eligible, &mut singles),
         PackerPolicy::ExactBucket => pack_exact_bucket(cfg, &eligible, &mut singles),
     };
-    if !singles.is_empty() {
-        singles.sort_unstable();
-        let per = singles.len().div_ceil(rayon::current_num_threads());
-        for chunk in singles.chunks(per) {
-            units.push(WorkUnit {
-                striped: false,
-                width: LaneWidth::U64,
-                members: chunk.to_vec(),
-                results: Vec::new(),
-                states: Vec::new(),
-            });
-        }
-    }
+    singles.sort_unstable();
+    units.extend(singles.into_iter().map(WorkUnit::per_pair));
     units
 }
 
@@ -1063,18 +1031,7 @@ fn plan_units_guarded<S: Symbol>(
                 true,
                 panic_message(&*payload),
             ));
-            let per = pairs.len().div_ceil(rayon::current_num_threads());
-            let indices: Vec<usize> = (0..pairs.len()).collect();
-            indices
-                .chunks(per)
-                .map(|chunk| WorkUnit {
-                    striped: false,
-                    width: LaneWidth::U64,
-                    members: chunk.to_vec(),
-                    results: Vec::new(),
-                    states: Vec::new(),
-                })
-                .collect()
+            (0..pairs.len()).map(WorkUnit::per_pair).collect()
         }
     }
 }
@@ -1135,8 +1092,6 @@ fn pack_length_aware(
                 striped: true,
                 width,
                 members,
-                results: Vec::new(),
-                states: Vec::new(),
             });
         } else {
             singles.extend(members);
@@ -1170,8 +1125,6 @@ fn pack_exact_bucket(
                     striped: true,
                     width,
                     members: chunk.to_vec(),
-                    results: Vec::new(),
-                    states: Vec::new(),
                 });
             } else {
                 singles.extend_from_slice(chunk);
@@ -2571,7 +2524,7 @@ fn stripe_sweep_local<W: KernelWord, const L: usize>(
 mod tests {
     use super::*;
     use crate::alignment::RaceWeights;
-    use crate::engine::{align_batch, AlignEngine};
+    use crate::engine::{align_batch, AffineWeights, AlignEngine};
     use rl_bio::alphabet::Dna;
     use rl_bio::Seq;
 
@@ -2930,12 +2883,11 @@ mod tests {
             let len = 56 + (i * 5) % 17; // mixed lengths, shared stripes
             db.push(pack(&Seq::random(&mut rng, len)));
         }
-        let scan = crate::early_termination::scan_packed_topk(
+        let scan = crate::early_termination::scan_packed_topk_with(
+            &AlignConfig::new(RaceWeights::levenshtein()),
             &pack(&query),
             &db,
-            RaceWeights::levenshtein(),
             1,
-            None,
             Some(1),
         );
         assert_eq!(scan.hits, vec![(0, 0)], "the exact copy wins at distance 0");
@@ -3022,6 +2974,63 @@ mod tests {
                     })
                     .sum();
                 assert_eq!(grid_cells(n, m, band), by_diag, "{n}x{m} band {band:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The cell budget is a hard cap up to one unit, whatever the
+        /// worker count: a supervised scan spends at most its budget
+        /// plus the largest unit's planned cells — also when the plan
+        /// has no more units than workers, so every worker's first claim
+        /// races the others.
+        #[test]
+        fn budget_overshoot_is_at_most_one_unit(
+            seed in 0_u64..10_000,
+            entries in 2_usize..64,
+            spread in 0_usize..24,
+            budget in 1_u64..30_000,
+        ) {
+            let mut rng = rl_dag::generate::seeded_rng(seed);
+            let query = pack(&Seq::random(&mut rng, 48));
+            let db: Vec<_> = (0..entries)
+                .map(|i| pack(&Seq::random(&mut rng, 40 + (i * 7) % (spread + 1))))
+                .collect();
+            let pairs: Vec<_> = db.iter().map(|p| (&query, p)).collect();
+            for mode in [
+                AlignMode::Global,
+                AlignMode::SemiGlobal,
+                AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+            ] {
+                let cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
+                let slack = plan_units(&cfg, &pairs)
+                    .iter()
+                    .map(|u| u.planned_cells(&cfg, &pairs))
+                    .max()
+                    .unwrap_or(0);
+                for workers in [1, 2, 4] {
+                    let ctrl = ScanControl::new().with_cells_budget(budget);
+                    let outcome = crate::early_termination::scan_packed_topk_supervised(
+                        &cfg, &query, &db, 1, Some(workers), &ctrl,
+                    )
+                    .expect("valid scan");
+                    proptest::prop_assert!(
+                        ctrl.cells_spent() <= budget + slack,
+                        "{mode:?}, {workers} workers: spent {} > budget {budget} + slack {slack}",
+                        ctrl.cells_spent()
+                    );
+                    proptest::prop_assert_eq!(
+                        outcome.completed_pairs + outcome.remaining_pairs(),
+                        entries
+                    );
+                    proptest::prop_assert_eq!(
+                        outcome.stop.is_some(),
+                        outcome.remaining_pairs() > 0,
+                        "a reported stop leaves pairs pending, and only a stop does"
+                    );
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //! isolation, and a deterministic fault-injection harness.
 //!
 //! The batch and scan pipelines ([`crate::engine::BatchEngine`],
-//! [`crate::early_termination::scan_database_topk`]) are built to run as
+//! [`crate::early_termination::scan_database_topk_with`]) are built to run as
 //! long-lived services over co-batched tenants. This module is the
 //! robustness substrate that makes that safe:
 //!
@@ -16,8 +16,8 @@
 //!   ledger of what completed, what faulted, and why, instead of
 //!   panicking or blocking. Invariant (tested): `completed_pairs +
 //!   faulted_pairs + remaining_pairs() == total_pairs`.
-//! - **Panic isolation** — every work unit (a stripe or a per-pair chunk)
-//!   runs under `catch_unwind`. A poisoned stripe is quarantined and its
+//! - **Panic isolation** — every work unit (a stripe or one per-pair
+//!   alignment) runs under `catch_unwind`. A poisoned stripe is quarantined and its
 //!   member pairs are retried one by one on the scalar rolling-row
 //!   fallback kernel; when every retry succeeds the scan's output is
 //!   byte-identical to the unfaulted run (tested under injected panics).
@@ -75,8 +75,10 @@ impl std::fmt::Display for StopReason {
 ///
 /// Checkpoints are cooperative: per-pair kernels check between
 /// anti-diagonals (rows, for the rolling-row kernels), the batch
-/// pipeline checks between work units. Cancellation and the cell budget
-/// are checked at every checkpoint; the deadline clock is read every
+/// pipeline claims each work unit before it starts, reserving the
+/// unit's planned cells against the budget (so the budget overshoot is
+/// at most one unit, at any worker count). Cancellation and the cell
+/// budget are checked at every checkpoint; the deadline clock is read every
 /// [`DEADLINE_CHECK_INTERVAL`] checkpoints — except the *first*, which
 /// always reads it, so a deadline already in the past (e.g. 0 ms) stops
 /// the run deterministically before any real work.
@@ -90,6 +92,8 @@ pub struct ScanControl {
     cells_budget: Option<u64>,
     scratch_budget: Option<usize>,
     cells_spent: AtomicU64,
+    /// Planned cells of the work units claimed but not yet finished.
+    reserved: AtomicU64,
     tracer: Option<TraceHandle>,
 }
 
@@ -213,6 +217,42 @@ impl ScanControl {
     /// clock read.
     #[must_use]
     pub fn should_stop(&self) -> Option<StopReason> {
+        self.stop_with_reserved(0)
+    }
+
+    /// Claims a work unit planned at `cells` grid cells before it
+    /// starts: checks every stop condition, with the budget compared
+    /// against the cells spent **plus** the cells reserved by units
+    /// still in flight, and on success reserves `cells` until
+    /// [`release`](Self::release). A claim that succeeds saw the budget
+    /// unspent by everything already committed, so a run overshoots its
+    /// budget by at most one unit's planned cells, whatever the worker
+    /// count. Without a budget nothing is reserved.
+    pub(crate) fn claim(&self, cells: u64) -> Result<(), StopReason> {
+        if self.cells_budget.is_none() {
+            return self.should_stop().map_or(Ok(()), Err);
+        }
+        let in_flight = self.reserved.fetch_add(cells, Ordering::AcqRel);
+        match self.stop_with_reserved(in_flight) {
+            None => Ok(()),
+            Some(stop) => {
+                self.reserved.fetch_sub(cells, Ordering::AcqRel);
+                Err(stop)
+            }
+        }
+    }
+
+    /// Returns a finished unit's reservation. Call after the unit has
+    /// charged its cells, so spent plus reserved never under-counts:
+    /// this release pairs with the acquire in [`claim`](Self::claim),
+    /// so a claim that sees the reservation gone also sees the charge.
+    pub(crate) fn release(&self, cells: u64) {
+        if self.cells_budget.is_some() {
+            self.reserved.fetch_sub(cells, Ordering::AcqRel);
+        }
+    }
+
+    fn stop_with_reserved(&self, reserved: u64) -> Option<StopReason> {
         if self.is_cancelled() {
             return Some(StopReason::Cancelled);
         }
@@ -220,7 +260,7 @@ impl ScanControl {
             return Some(StopReason::Watchdog);
         }
         if let Some(budget) = self.cells_budget {
-            if self.cells_spent() >= budget {
+            if self.cells_spent().saturating_add(reserved) >= budget {
                 return Some(StopReason::BudgetExhausted);
             }
         }
@@ -336,7 +376,7 @@ impl Fault {
 }
 
 /// The typed partial result of a supervised top-k scan
-/// ([`crate::early_termination::scan_database_topk_supervised`]).
+/// ([`crate::early_termination::scan_packed_topk_supervised`]).
 ///
 /// Accounting invariant: `completed_pairs + faulted_pairs +
 /// remaining_pairs() == total_pairs`, with no pair counted twice.

@@ -654,7 +654,7 @@ fn band_compaction_edge_regression() {
 // Ragged batches (length-aware packer) and the ratcheted top-k scan.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::{scan_database, scan_database_topk_with_workers};
+use race_logic::early_termination::{scan_database, scan_database_topk_with};
 use race_logic::engine::{batch_plan_stats, BatchEngine, PackerPolicy};
 
 /// Seed-pinned log-normal lengths clamped to `[lo, hi]` — the shape of
@@ -763,7 +763,11 @@ proptest! {
         expected.truncate(k);
 
         for workers in [Some(1), Some(4), None] {
-            let scan = scan_database_topk_with_workers(&query, &db, w, k, threshold, workers);
+            let cfg = AlignConfig {
+                threshold,
+                ..AlignConfig::new(w)
+            };
+            let scan = scan_database_topk_with(&cfg, &query, &db, k, workers);
             prop_assert_eq!(&scan.hits, &expected, "workers {:?}", workers);
         }
     }
@@ -793,8 +797,9 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
     }
     let w = RaceWeights::fig4();
 
-    let single = scan_database_topk_with_workers(&query, &db, w, 8, None, Some(1));
-    let quad = scan_database_topk_with_workers(&query, &db, w, 8, None, Some(4));
+    let cfg = AlignConfig::new(w);
+    let single = scan_database_topk_with(&cfg, &query, &db, 8, Some(1));
+    let quad = scan_database_topk_with(&cfg, &query, &db, 8, Some(4));
     assert_eq!(
         single.hits, quad.hits,
         "top-k must not depend on worker count"
@@ -880,7 +885,8 @@ fn topk_agrees_with_scan_database_hits() {
     let w = RaceWeights::fig4();
     let threshold = 45_u64;
     let report = scan_database(&query, &db, w, threshold);
-    let topk = scan_database_topk_with_workers(&query, &db, w, db.len(), Some(threshold), Some(2));
+    let cfg = AlignConfig::new(w).with_threshold(threshold);
+    let topk = scan_database_topk_with(&cfg, &query, &db, db.len(), Some(2));
     let mut expected = report.hits.clone();
     expected.sort_unstable_by_key(|&(idx, score)| (score, idx));
     assert_eq!(topk.hits, expected);
@@ -912,7 +918,6 @@ fn lane_floor_does_not_change_outcomes() {
 // Alignment modes: semi-global, local (max-plus), affine — every kernel.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::scan_database_topk_with;
 use race_logic::engine::{AffineWeights, AlignMode, LocalScores};
 use race_logic::semi_global::semi_global_reference;
 

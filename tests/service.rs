@@ -299,7 +299,9 @@ fn entry_point_resume_merges_exact_accounting() {
 // same admission, budget, and resume machinery as an in-memory one, and
 // its results are byte-identical to the in-memory scan.
 
-use race_logic::store::{build_store, PackedStore, StoreParams, StoreTarget};
+use race_logic::store::{
+    build_store, scan_store_topk_resumable, PackedStore, StoreParams, StoreTarget,
+};
 
 /// Builds the database into a temp store file and opens it; the guard
 /// removes the file on drop.
@@ -432,4 +434,94 @@ fn store_backed_admission_prices_from_the_manifest() {
         0,
         "admission must price store queries from the manifest alone"
     );
+}
+
+#[test]
+fn resume_rejects_a_k_other_than_the_tokens() {
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let (q, database) = db(71, 40, 48);
+    let ctrl = ScanControl::new().with_cells_budget(1);
+    let (_, token) =
+        scan_packed_topk_resumable(&cfg, &q, &database, 4, Some(1), &ctrl).expect("valid");
+    let token = token.expect("a budget stop leaves a token");
+
+    let service = ScanService::new(ServiceConfig::default());
+    match service.resume(
+        ScanRequest::new(cfg, q.clone(), Arc::clone(&database), 3),
+        token.clone(),
+    ) {
+        Err(SubmitError::Rejected {
+            reason: AlignError::InvalidConfig { reason },
+        }) => assert!(reason.contains("top-4"), "reason {reason:?}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    // The token's own k resumes to the uninterrupted top-4.
+    let full = service
+        .resume(
+            ScanRequest::new(cfg, q.clone(), Arc::clone(&database), 4),
+            token,
+        )
+        .expect("resume admitted")
+        .wait()
+        .expect("completes");
+    assert!(full.outcome.is_complete());
+    assert_eq!(
+        full.outcome.hits,
+        scan_packed_topk_with(&cfg, &q, &database, 4, None).hits
+    );
+}
+
+/// Every entry point agrees on when a stop is reported, at 1 and 2
+/// workers. A stop is reported only when a checkpoint observed it, and
+/// an observed stop always leaves pairs pending. A stop condition that
+/// arises while the last unit runs is never observed: the outcome is
+/// complete, `stop` is `None` and there is no token.
+#[test]
+fn stop_reporting_agrees_across_entry_points_and_worker_counts() {
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    // 20 entries of one shape plan as one stripe, 40 as two. A 1-cell
+    // budget admits the first claim only.
+    for (entries, stopped) in [(20, false), (40, true)] {
+        let (q, database) = db(72, entries, 64);
+        let (target, _guard) = store_target(&format!("stop_rule_{entries}"), &database);
+        let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, None);
+        for workers in [1, 2] {
+            let ctrl = || ScanControl::new().with_cells_budget(1);
+            let service = ScanService::new(ServiceConfig::default().with_workers(workers));
+            let via_service = |req: ScanRequest<Dna>| {
+                let report = service
+                    .try_submit(req.with_cells_budget(1))
+                    .expect("admitted")
+                    .wait()
+                    .expect("finalized");
+                (report.outcome, report.resume)
+            };
+            let runs = [
+                scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(workers), &ctrl())
+                    .expect("valid"),
+                scan_store_topk_resumable(&cfg, &q, &target, 3, Some(workers), &ctrl())
+                    .expect("valid"),
+                via_service(ScanRequest::new(cfg, q.clone(), Arc::clone(&database), 3)),
+                via_service(ScanRequest::from_store(
+                    cfg,
+                    q.clone(),
+                    Arc::clone(&target),
+                    3,
+                )),
+            ];
+            for (entry_point, (outcome, token)) in runs.into_iter().enumerate() {
+                let at = format!("{entries} entries, {workers} workers, entry point {entry_point}");
+                if stopped {
+                    assert_eq!(outcome.stop, Some(StopReason::BudgetExhausted), "{at}");
+                    assert!(outcome.remaining_pairs() > 0, "{at}");
+                    assert!(token.is_some(), "{at}");
+                } else {
+                    assert_eq!(outcome.stop, None, "{at}");
+                    assert!(outcome.is_complete(), "{at}");
+                    assert!(token.is_none(), "{at}");
+                    assert_eq!(outcome.hits, baseline.hits, "{at}");
+                }
+            }
+        }
+    }
 }
