@@ -8,7 +8,7 @@
 //! - the zero-allocation engine driven sequentially on each explicit
 //!   `KernelStrategy` (rolling-row: scratch reuse + rolling rows;
 //!   wavefront: anti-diagonal SIMD lanes at the auto-picked width), and
-//! - `align_batch`: the inter-pair **striped batch kernel** (each SIMD
+//! - `BatchEngine::align_batch`: the inter-pair **striped batch kernel** (each SIMD
 //!   lane a different pair) fanned out across cores.
 //!
 //! `cargo run --release -p rl-bench --bin engine_baseline` writes the
@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use race_logic::alignment::{AlignmentRace, RaceWeights};
-use race_logic::engine::{align_batch, AlignConfig, AlignEngine, KernelStrategy};
+use race_logic::engine::{AlignConfig, AlignEngine, BatchEngine, KernelStrategy};
 use rl_bio::{alphabet::Dna, PackedSeq, Seq};
 use rl_dag::generate::seeded_rng;
 use std::hint::black_box;
@@ -73,7 +73,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
         }
 
         group.bench_function("engine_align_batch/striped", |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
+            b.iter(|| black_box(BatchEngine::new(cfg).align_batch(&packed)));
         });
 
         group.finish();
@@ -81,10 +81,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
 }
 
 /// The ragged counterpart: log-normal lengths (the `engine_baseline
-/// --ragged` construction), length-aware packer vs the PR 3
-/// exact-bucket ruler at equal thread count.
-fn bench_ragged_packers(c: &mut Criterion) {
-    use race_logic::engine::PackerPolicy;
+/// --ragged` construction) through the length-aware packer.
+fn bench_ragged(c: &mut Criterion) {
     use rand::Rng;
     use rl_bench::lognormal_len;
 
@@ -113,15 +111,9 @@ fn bench_ragged_packers(c: &mut Criterion) {
     ));
     group.sample_size(10);
     group.throughput(Throughput::Elements(PAIRS as u64));
-    for (name, packer) in [
-        ("length_aware", PackerPolicy::LengthAware),
-        ("exact_bucket", PackerPolicy::ExactBucket),
-    ] {
-        let cfg = cfg.with_packer(packer);
-        group.bench_function(format!("engine_align_batch/{name}"), |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
-        });
-    }
+    group.bench_function("engine_align_batch/length_aware", |b| {
+        b.iter(|| black_box(BatchEngine::new(cfg).align_batch(&packed)));
+    });
     group.finish();
 }
 
@@ -152,7 +144,7 @@ fn bench_mode_sweep(c: &mut Criterion) {
     ] {
         let cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
         group.bench_function(format!("engine_align_batch/{mode}"), |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
+            b.iter(|| black_box(BatchEngine::new(cfg).align_batch(&packed)));
         });
     }
     group.finish();
@@ -161,7 +153,7 @@ fn bench_mode_sweep(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_batch_throughput,
-    bench_ragged_packers,
+    bench_ragged,
     bench_mode_sweep
 );
 criterion_main!(benches);

@@ -15,22 +15,20 @@
 //!   at `u32`, emitted when auto picks a different width: the fixed
 //!   ruler for the lane-width win (and, since the u32 kernel moved to
 //!   its flat-loop form, the entry that pins that codegen choice).
-//! - `engine_align_batch` — `align_batch`: the inter-pair **striped
+//! - `engine_align_batch` — `BatchEngine::align_batch`: the inter-pair **striped
 //!   batch kernel** (each SIMD lane a different pair) under the
-//!   length-aware packer, plus rayon across cores.
+//!   length-aware packer, plus the shared-cursor unit scheduler across
+//!   cores.
 //! - `engine_align_batch_u16` — the same batch with the lane floor
 //!   pinned at `u16`: the byte-lane ruler, emitted when the stripe
 //!   width auto-resolves to the biased 32-lane `u8` kernel (the
 //!   short-read rows), recorded as `speedup_u8_vs_u16`.
-//! - `engine_align_batch_exact_bucket` — the same batch under the
-//!   legacy PR 3 exact-bucket planner: the packer ruler (only emitted
-//!   on ragged workloads, where the planners differ).
 //! - `engine_align_batch_supervised` — the same batch through
 //!   `BatchEngine::align_batch_supervised` under an unconstrained
 //!   `ScanControl`: the supervisor tax (unit-boundary stop checks,
 //!   `catch_unwind` per work unit, the fault ledger) on record as
 //!   `supervisor_overhead_pct`.
-//! - `engine_align_batch_mt` — `align_batch` with `RAYON_NUM_THREADS`
+//! - `engine_align_batch_mt` — the batch with `RAYON_NUM_THREADS`
 //!   forced to 4: rayon scaling on record (honest on a 1-core host —
 //!   compare against `host_cores`).
 //!
@@ -51,8 +49,7 @@
 //! `--ragged` draws pair lengths from a seed-pinned log-normal
 //! distribution (median = `--length`, σ = [`RAGGED_SIGMA`] = 1.2, pattern jittered ±15%)
 //! instead of fixed lengths; `--occupancy` adds the batch planner's
-//! stripe occupancy and striped-vs-fallback counts (for both packer
-//! policies) to the JSON; `--scan K` benchmarks the threshold-ratcheted
+//! stripe occupancy and striped-vs-fallback counts to the JSON; `--scan K` benchmarks the threshold-ratcheted
 //! top-k database scan against the unratcheted batch scan;
 //! `--deadline-ms N` replaces the sweep with a supervised deadline demo:
 //! a ratcheted scan raced against an `N`-millisecond wall-clock budget,
@@ -73,8 +70,8 @@ use std::time::{Duration, Instant};
 use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::early_termination::{scan_packed_topk_supervised, scan_packed_topk_with};
 use race_logic::engine::{
-    align_batch, batch_plan_stats, AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine,
-    BatchPlanStats, KernelStrategy, LaneWidth, LocalScores, PackerPolicy,
+    batch_plan_stats, AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine,
+    BatchPlanStats, KernelStrategy, LaneWidth, LocalScores,
 };
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig};
 use race_logic::store::{
@@ -92,7 +89,7 @@ const REPS: usize = 5;
 const SEED: u64 = 0xBA7C4;
 
 /// σ of the ragged workload's log-normal length distribution: wide
-/// enough that a 1000-pair batch leaves most exact 16-rounded `(n, m)`
+/// enough that a 1000-pair batch leaves most 16-rounded `(n, m)` length
 /// buckets below `STRIPE_MIN_PAIRS` — the regime the length-aware
 /// packer exists for.
 const RAGGED_SIGMA: f64 = 1.2;
@@ -270,7 +267,8 @@ fn run_workload(wl: Workload, filter: StrategyFilter, occupancy: bool) -> String
     if wants(StrategyFilter::Batch) {
         let time_batch = |cfg: AlignConfig| {
             time_reps(|| {
-                align_batch(&cfg, &packed)
+                BatchEngine::new(cfg)
+                    .align_batch(&packed)
                     .iter()
                     .map(|o| o.score.cycles().unwrap_or(0))
                     .sum()
@@ -299,18 +297,6 @@ fn run_workload(wl: Workload, filter: StrategyFilter, occupancy: bool) -> String
                 key: "engine_align_batch_u16",
                 strategy: "striped-batch (length-aware)".into(),
                 lane_width: "u16".into(),
-                threads,
-                seconds: t,
-                checksum: sum,
-            });
-        }
-        if wl.ragged {
-            // The packer ruler: identical batch under the PR 3 planner.
-            let (t, sum) = time_batch(cfg.with_packer(PackerPolicy::ExactBucket));
-            entries.push(Entry {
-                key: "engine_align_batch_exact_bucket",
-                strategy: "striped-batch (exact-bucket)".into(),
-                lane_width: cfg.resolve_stripe_lanes(wl.len, wl.len).to_string(),
                 threads,
                 seconds: t,
                 checksum: sum,
@@ -390,10 +376,8 @@ fn run_workload(wl: Workload, filter: StrategyFilter, occupancy: bool) -> String
     let _ = writeln!(json, "      \"score_checksum\": {},", entries[0].checksum);
     if occupancy || wl.ragged {
         let aware = batch_plan_stats(&cfg, &packed);
-        let exact = batch_plan_stats(&cfg.with_packer(PackerPolicy::ExactBucket), &packed);
         let _ = writeln!(json, "      \"plan\": {{");
-        let _ = writeln!(json, "        {},", plan_json("length_aware", aware));
-        let _ = writeln!(json, "        {}", plan_json("exact_bucket", exact));
+        let _ = writeln!(json, "        {}", plan_json("length_aware", aware));
         let _ = writeln!(json, "      }},");
     }
     let by_key = |k: &str| entries.iter().find(|e| e.key == k);
@@ -421,11 +405,6 @@ fn run_workload(wl: Workload, filter: StrategyFilter, occupancy: bool) -> String
     speedup(
         "speedup_u8_vs_u16",
         by_key("engine_align_batch_u16"),
-        by_key("engine_align_batch"),
-    );
-    speedup(
-        "speedup_packer_vs_exact_bucket",
-        by_key("engine_align_batch_exact_bucket"),
         by_key("engine_align_batch"),
     );
     speedup(
@@ -516,7 +495,7 @@ fn run_scan(
 
     let pairs: Vec<(&PackedSeq<Dna>, &PackedSeq<Dna>)> = patterns.iter().map(|p| (&q, p)).collect();
     let full_topk = || {
-        let outcomes = race_logic::engine::align_batch_refs(&cfg, &pairs);
+        let outcomes = BatchEngine::new(cfg).align_batch_refs(&pairs);
         let mut hits: Vec<(usize, u64)> = outcomes
             .iter()
             .enumerate()
@@ -723,7 +702,7 @@ fn run_service(db_size: usize, median_len: usize, k: usize) -> String {
 /// query; returns the JSON fragment summarizing the run.
 #[cfg(feature = "failpoints")]
 fn run_soak() -> String {
-    use race_logic::early_termination::estimate_scan_cells;
+    use race_logic::early_termination::ScanDb;
     use race_logic::supervisor::failpoint::{self, Action};
 
     const QUERIES: usize = 8;
@@ -732,7 +711,7 @@ fn run_soak() -> String {
 
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let mut rng = seeded_rng(SEED ^ 0x50AC);
-    let jobs: Vec<(PackedSeq<Dna>, Arc<Vec<PackedSeq<Dna>>>)> = (0..QUERIES)
+    let jobs: Vec<_> = (0..QUERIES)
         .map(|_| {
             let query = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64));
             let database: Vec<PackedSeq<Dna>> = (0..48)
@@ -761,7 +740,8 @@ fn run_soak() -> String {
         .map(|(i, (q, db))| {
             let mut req = ScanRequest::new(cfg, q.clone(), Arc::clone(db), 3);
             if i % 2 == 1 {
-                req = req.with_cells_budget(estimate_scan_cells(&cfg, q, db) / 16);
+                req = req
+                    .with_cells_budget(ScanDb::Memory(db).estimate_cells(&cfg, q.len(), None) / 16);
             }
             service.try_submit(req).expect("soak query admitted")
         })

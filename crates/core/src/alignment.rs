@@ -220,7 +220,8 @@ impl<S: Symbol> AlignmentRace<S> {
         let q_codes: Vec<u8> = self.q.codes().collect();
         let p_codes: Vec<u8> = self.p.codes().collect();
         let mut grid = Vec::new();
-        crate::engine::fill_grid_with(&q_codes, &p_codes, self.weights, None, strategy, &mut grid);
+        let cfg = crate::engine::AlignConfig::new(self.weights).with_strategy(strategy);
+        crate::engine::fill_grid(&q_codes, &p_codes, &cfg, &mut grid);
         let arrival = grid.into_iter().map(crate::engine::raw_to_time).collect();
         AlignmentOutcome {
             arrival,

@@ -113,8 +113,10 @@ pub fn banded_race_with<S: Symbol>(
     let q_codes: Vec<u8> = q.codes().collect();
     let p_codes: Vec<u8> = p.codes().collect();
     let mut grid = Vec::new();
-    let cells_built =
-        crate::engine::fill_grid_with(&q_codes, &p_codes, weights, Some(band), strategy, &mut grid);
+    let cfg = AlignConfig::new(weights)
+        .with_band(band)
+        .with_strategy(strategy);
+    let cells_built = crate::engine::fill_grid(&q_codes, &p_codes, &cfg, &mut grid);
     BandedOutcome {
         score: crate::engine::raw_to_time(grid[n * (m + 1) + m]),
         band,

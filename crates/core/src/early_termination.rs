@@ -12,7 +12,7 @@
 use rl_bio::{alphabet::Symbol, PackedSeq, Seq};
 
 use crate::alignment::RaceWeights;
-use crate::engine::{AlignConfig, AlignEngine};
+use crate::engine::{AlignConfig, AlignEngine, BatchEngine};
 use crate::error::AlignError;
 use crate::score_transform::TransformedWeights;
 use crate::store::StoreTarget;
@@ -146,12 +146,12 @@ impl ScanReport {
 /// Scans `query` against a database of patterns, keeping entries whose
 /// race finishes within `threshold` cycles — the Section 6 application.
 ///
-/// The scan runs through [`crate::engine::align_batch`], so same-length
-/// patterns are swept by the inter-pair striped SIMD kernel (each lane
-/// one pattern, the §6 many-patterns-one-array tiling) and the batch
-/// fans out across cores. The races run to completion (no fused
-/// threshold) because the report also prices the hypothetical
-/// threshold-less scan.
+/// The scan runs through [`BatchEngine::align_batch_refs`], so
+/// shape-similar patterns are swept by the inter-pair striped SIMD
+/// kernel (each lane one pattern, the §6 many-patterns-one-array
+/// tiling) and the batch fans out across cores. The races run to
+/// completion (no fused threshold) because the report also prices the
+/// hypothetical threshold-less scan.
 #[must_use]
 pub fn scan_database<S: Symbol>(
     query: &Seq<S>,
@@ -162,7 +162,7 @@ pub fn scan_database<S: Symbol>(
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = patterns.iter().map(|p| (&q, p)).collect();
-    let outcomes = crate::engine::align_batch_refs(&AlignConfig::new(weights), &pairs);
+    let outcomes = BatchEngine::new(AlignConfig::new(weights)).align_batch_refs(&pairs);
 
     let mut hits = Vec::new();
     let mut rejected = 0;
@@ -190,7 +190,7 @@ pub fn scan_database<S: Symbol>(
     }
 }
 
-/// Result of a ratcheted top-k database scan ([`scan_database_topk_with`]).
+/// Result of a ratcheted top-k database scan ([`scan_packed_topk_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopKScan {
     /// The `k` best database entries as `(index, score)`, sorted by
@@ -209,60 +209,37 @@ pub struct TopKScan {
     pub cells_computed: u64,
 }
 
-/// Scans `query` against a database for the `k` **best** (lowest-score)
-/// entries, with the early-termination threshold *ratcheting down* as
-/// hits land — the §6 "move on to the next pattern" rule, sharpened
-/// into a top-k race: once `k` candidates have finished, every further
-/// race runs under "beat the current k-th best or be abandoned", so the
-/// scan accelerates as it goes.
+/// Scans `query` against an already-packed database for the `k`
+/// **best** (lowest-score) entries, with the early-termination
+/// threshold *ratcheting down* as hits land — the §6 "move on to the
+/// next pattern" rule, sharpened into a top-k race: once `k` candidates
+/// have finished, every further race runs under "beat the current k-th
+/// best or be abandoned", so the scan accelerates as it goes. This is
+/// the unsupervised path (no control, no validation beyond the asserts
+/// below); [`scan`] is the validated, supervised, resumable one.
 ///
 /// Execution: the batch planner packs the database into stripes (the
 /// fixed query is transposed into the stripe plane once and reused, not
 /// re-packed per stripe) and streams them through `workers` workers
 /// (`None` = one per available thread) that share the score ratchet.
 /// `cfg.threshold` seeds the ratchet — entries scoring above it are
-/// never hits, exactly as in [`scan_database`]. See
-/// [`scan_packed_topk_with`] for the steady-state packed form and the
-/// mode semantics.
+/// never hits, exactly as in [`scan_database`]. The paper's actual §6
+/// workload is a **semi-global** scan
+/// (`cfg.with_mode(AlignMode::SemiGlobal)`): "does Q occur anywhere in
+/// this entry?" raced across the database on the striped batch kernel,
+/// the ratchet tightening on the best window scores.
 ///
 /// The returned [`TopKScan::hits`] is **deterministic** regardless of
-/// worker interleaving: abandons only ever fire on a strict
-/// `score > current-k-th-best` proof, and the ratchet is always at
-/// least the true k-th best, so every true top-k entry finishes with
-/// its exact score.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or in [`crate::engine::AlignMode::Local`].
-#[must_use]
-pub fn scan_database_topk_with<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    k: usize,
-    workers: Option<usize>,
-) -> TopKScan {
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    scan_packed_topk_with(cfg, &q, &patterns, k, workers)
-}
-
-/// [`scan_database_topk_with`] over an already-packed database — the
-/// steady-state form for callers that keep their database in
-/// [`PackedSeq`] form and scan it repeatedly (no per-scan packing or
-/// cloning). This is the paper's actual §6 workload once the engine
-/// speaks modes: a **semi-global** ratcheted top-k scan
-/// (`cfg.with_mode(AlignMode::SemiGlobal)`) races "does Q occur
-/// anywhere in this entry?" across the database on the striped batch
-/// kernel, the ratchet tightening on the best window scores. The
-/// determinism guarantee is mode-independent: every min-plus mode's
-/// abandon is a strict lower-bound proof.
+/// worker interleaving, in every min-plus mode: abandons only ever fire
+/// on a strict `score > current-k-th-best` proof, and the ratchet is
+/// always at least the true k-th best, so every true top-k entry
+/// finishes with its exact score.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`, or for [`crate::engine::AlignMode::Local`]
 /// (max-plus best-hit scans have no sound frontier abandon — run
-/// [`crate::engine::align_batch`] in local mode and select instead).
+/// [`BatchEngine::align_batch`] in local mode and select instead).
 #[must_use]
 pub fn scan_packed_topk_with<S: Symbol>(
     cfg: &AlignConfig,
@@ -297,11 +274,11 @@ pub fn scan_packed_topk_with<S: Symbol>(
     }
 }
 
-/// What a resumable scan races against, borrowed: an in-memory packed
-/// database, or a persistent store target whose pending entries each
-/// segment materializes through the store's quarantine ladder.
-#[derive(Clone, Copy)]
-pub(crate) enum ScanDb<'a, S: Symbol> {
+/// What [`scan`] races against, borrowed: an in-memory packed database,
+/// or a persistent store target whose pending entries each segment
+/// materializes through the store's quarantine ladder.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanDb<'a, S: Symbol> {
     /// An in-memory packed database.
     Memory(&'a [PackedSeq<S>]),
     /// A persistent store target (primary plus replicas).
@@ -335,16 +312,26 @@ impl<S: Symbol> ScanDb<'_, S> {
         }
     }
 
-    /// Banded grid cells `query_len` races against the entries `ids`,
-    /// assuming no early abandons — the admission-control cost.
-    pub(crate) fn cells(
+    /// The admission-control cost estimate of a scan: total banded DP
+    /// cells ([`crate::engine::BatchPlanStats::useful_cells`]'s currency)
+    /// a query of `query_len` would race under `cfg`'s band, assuming no
+    /// early abandons — over every entry, or over the `token`'s pending
+    /// entries only for a resumed scan. Lengths come from the manifest
+    /// for a store, so pricing touches no payload chunk (regression-
+    /// tested via [`crate::store::PackedStore::chunks_loaded`]). The
+    /// [`crate::service::ScanService`] keys its bounded queue on this.
+    #[must_use]
+    pub fn estimate_cells(
         self,
         cfg: &AlignConfig,
         query_len: usize,
-        ids: impl Iterator<Item = usize>,
+        token: Option<&ResumeToken>,
     ) -> u64 {
-        ids.map(|i| crate::striped::grid_cells(query_len, self.entry_len(i), cfg.band))
-            .sum()
+        let cells = |i: usize| crate::striped::grid_cells(query_len, self.entry_len(i), cfg.band);
+        match token {
+            None => (0..self.len()).map(cells).sum(),
+            Some(token) => token.pending_indices().map(cells).sum(),
+        }
     }
 }
 
@@ -435,48 +422,11 @@ pub(crate) fn bind_token<S: Symbol>(
     Err(AlignError::InvalidConfig { reason })
 }
 
-/// Fallible form of [`scan_database_topk_with`]: rejects a bad request
-/// (`k = 0`, `k` beyond the database, empty sequences, a degenerate
-/// weight scheme, a max-plus mode, or a shape no kernel word fits)
-/// with a typed [`AlignError`] instead of panicking.
-pub fn try_scan_database_topk_with<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    k: usize,
-    workers: Option<usize>,
-) -> Result<TopKScan, AlignError> {
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    try_scan_packed_topk_with(cfg, &q, &patterns, k, workers)
-}
-
-/// Fallible form of [`scan_packed_topk_with`] — same validation as
-/// [`try_scan_database_topk_with`], over an already-packed database.
-pub fn try_scan_packed_topk_with<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    database: &[PackedSeq<S>],
-    k: usize,
-    workers: Option<usize>,
-) -> Result<TopKScan, AlignError> {
-    validate_scan(cfg, query, ScanDb::Memory(database), k)?;
-    Ok(scan_packed_topk_with(cfg, query, database, k, workers))
-}
-
-/// Supervised form of [`scan_packed_topk_with`]: validates the request,
-/// then runs the ratcheted scan under `ctrl` — cooperative
-/// cancellation, deadline and cell-budget stops, per-stripe panic
-/// isolation with per-pair fallback retry, and the fault ledger
-/// ([`crate::supervisor`]).
-///
-/// An early stop returns `Ok` with a *partial* [`ScanOutcome`]
-/// (`stop` set, accounting invariant `completed + faulted + remaining
-/// == total`); `Err` is reserved for requests rejected up front. When
-/// the scan completes with every fault recovered, [`ScanOutcome::hits`]
-/// is byte-identical to the unsupervised [`TopKScan::hits`]. A thin
-/// wrapper over [`scan_packed_topk_resumable`] that drops the resume
-/// token.
+/// Supervised form of [`scan_packed_topk_with`]: [`scan`] over an
+/// in-memory database, from the first pair, dropping the resume token.
+/// When the scan completes with every fault recovered,
+/// [`ScanOutcome::hits`] is byte-identical to the unsupervised
+/// [`TopKScan::hits`].
 pub fn scan_packed_topk_supervised<S: Symbol>(
     cfg: &AlignConfig,
     query: &PackedSeq<S>,
@@ -485,64 +435,52 @@ pub fn scan_packed_topk_supervised<S: Symbol>(
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<ScanOutcome, AlignError> {
-    scan_packed_topk_resumable(cfg, query, database, k, workers, ctrl)
-        .map(|(outcome, _token)| outcome)
+    scan(cfg, query, ScanDb::Memory(database), k, None, workers, ctrl).map(|(outcome, _)| outcome)
 }
 
-/// [`scan_packed_topk_supervised`] with a checkpoint: alongside the
-/// (possibly partial) [`ScanOutcome`], returns a [`ResumeToken`]
-/// whenever pairs are still unfinished — remaining after an early stop,
-/// or lost to unrecovered faults. Feed the token to
-/// [`scan_packed_topk_resume`] to continue the scan; however many times
-/// a scan is interrupted and resumed, the final top-k is byte-identical
-/// to an uninterrupted [`scan_packed_topk_with`] run (property-tested).
-/// `None` means nothing is left to resume.
-pub fn scan_packed_topk_resumable<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    database: &[PackedSeq<S>],
-    k: usize,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    run_scan(cfg, query, ScanDb::Memory(database), k, None, workers, ctrl)
-}
-
-/// Continues an interrupted scan from its [`ResumeToken`]: runs only
-/// the token's remaining pairs, with the ratchet re-seeded from the
-/// carried hits (see [`ResumeToken`] for the soundness argument), and
-/// merges the segment into the cumulative ledger. The returned
-/// [`ScanOutcome`] accounts for the *whole* scan — every earlier
-/// segment included — so the invariant `completed + faulted +
-/// remaining == total` keeps holding across any number of resumes.
+/// The one scan call: races `query` against `db` for the `k` best
+/// entries under `ctrl` — fresh (`token = None`, every pair) or resumed
+/// from a [`ResumeToken`] (only the token's pending pairs), in memory or
+/// over a persistent store alike.
 ///
-/// The token must come from an in-memory scan of this same
-/// `query`/`database` (same `cfg`); any other token is rejected.
-pub fn scan_packed_topk_resume<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    database: &[PackedSeq<S>],
-    token: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    run_scan(
-        cfg,
-        query,
-        ScanDb::Memory(database),
-        token.k,
-        Some(token),
-        workers,
-        ctrl,
-    )
-}
-
-/// The one scan segment runner behind every resumable entry point —
-/// in-memory, store-backed and [`crate::service::ScanService`] alike:
-/// validates the request, binds the token (if any) to `db`, runs the
-/// token's pending pairs (every pair, for a fresh scan), and merges the
-/// segment into a cumulative [`ScanOutcome`] plus the next checkpoint.
-pub(crate) fn run_scan<S: Symbol>(
+/// **Validation.** A bad request — `k = 0`, `k` beyond the database,
+/// empty sequences, a degenerate weight scheme, a max-plus mode, a
+/// shape no kernel word fits, or a token that does not belong to this
+/// scan — is rejected up front with a typed [`AlignError`] before any
+/// work. A token continues only the scan that issued it: the same `k`,
+/// the same `query`/`cfg`, an in-memory token against an in-memory
+/// database, and a store token against a store of identical content (a
+/// rebuilt, corrupted or different store is rejected — resuming it
+/// could double-count or mis-attribute pairs).
+///
+/// **Supervision.** The scan honours `ctrl`'s cooperative cancellation,
+/// deadline and cell budget, isolates panics per stripe with per-pair
+/// fallback retry, and records every absorbed fault in the ledger
+/// ([`crate::supervisor`]). An early stop returns `Ok` with a *partial*
+/// [`ScanOutcome`]; `Err` is reserved for requests rejected up front.
+///
+/// **Store.** Over [`ScanDb::Store`], hits and ledger entries are in
+/// the caller's original input index space, and corrupt or unreadable
+/// shards are quarantined: their pairs are served from a healthy
+/// replica when the target has one (a recovered `store-chunk-read`
+/// fault), otherwise they become faulted, *retryable* pairs in the
+/// returned token.
+///
+/// **Result.** The [`ScanOutcome`] accounts for the *whole* scan, every
+/// earlier segment included, so `completed + faulted + remaining ==
+/// total` holds across any number of resumes. Alongside it comes a
+/// [`ResumeToken`] whenever pairs are still unfinished (remaining after
+/// an early stop, or lost to unrecovered faults); `None` means nothing
+/// is left to resume. However many times a scan is interrupted and
+/// resumed, the final top-k is byte-identical to an uninterrupted
+/// [`scan_packed_topk_with`] run (property-tested), and over a healthy
+/// store it is byte-identical to the in-memory scan of the same entries.
+///
+/// The resumed ratchet is re-seeded from the carried hits (see
+/// [`ResumeToken`] for the soundness argument).
+/// [`crate::service::ScanService`] runs every query segment through
+/// this call.
+pub fn scan<S: Symbol>(
     cfg: &AlignConfig,
     query: &PackedSeq<S>,
     db: ScanDb<'_, S>,
@@ -683,20 +621,6 @@ fn run_segment<S: Symbol>(
         db_hash,
     });
     (outcome, token)
-}
-
-/// The admission-control cost estimate of a scan: total banded DP cells
-/// ([`crate::engine::BatchPlanStats::useful_cells`]'s currency) the
-/// query would race across the database under `cfg`'s band, assuming no
-/// early abandons. The [`crate::service::ScanService`] keys its bounded
-/// queue on this.
-#[must_use]
-pub fn estimate_scan_cells<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    database: &[PackedSeq<S>],
-) -> u64 {
-    ScanDb::Memory(database).cells(cfg, query.len(), 0..database.len())
 }
 
 #[cfg(test)]

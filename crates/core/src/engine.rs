@@ -14,9 +14,9 @@
 //!   [`crate::simd`]). The wavefront comes in two layouts — absolute
 //!   row indexing, and a *compacted* banded layout that stores only the
 //!   in-band span per diagonal (O(band) state, how narrow bands stay on
-//!   the wavefront) — and [`align_batch`] adds a third axis: the
-//!   *striped batch kernel*, one wavefront sweep whose SIMD lanes are
-//!   *different pairs* of a shape-compatible cohort.
+//!   the wavefront) — and [`BatchEngine::align_batch`] adds a third
+//!   axis: the *striped batch kernel*, one wavefront sweep whose SIMD
+//!   lanes are *different pairs* of a shape-compatible cohort.
 //!   [`KernelStrategy::Auto`] picks by problem shape; the full decision
 //!   is [`AlignConfig::resolve_kernel`].
 //! - **Zero allocations per alignment.** An [`AlignEngine`] owns its
@@ -45,16 +45,17 @@
 //!   threshold — sound because weights are non-negative, so any
 //!   root→sink path costs at least the minimum of the frontier it
 //!   crosses). Both are fused into both kernels.
-//! - **Batching.** [`align_batch`] packs wavefront-eligible pairs into
-//!   stripes — sorted by `(n, m)`, greedily merged across lengths under
-//!   a padding budget ([`PackerPolicy::LengthAware`]) — and sweeps each
-//!   stripe with the inter-pair striped kernel (every SIMD lane a
-//!   different pair, per-lane banding masks and early-termination
-//!   flags, lanes retiring independently), fanned out across cores
-//!   with rayon, one persistent scratch arena per worker
-//!   ([`BatchEngine`]), results in input order — and byte-identical to
-//!   the sequential loop. The §6 database scan sharpens this into
-//!   [`crate::early_termination::scan_database_topk_with`], whose shared
+//! - **Batching.** [`BatchEngine::align_batch`] packs wavefront-eligible
+//!   pairs into stripes — sorted by `(n, m)`, greedily merged across
+//!   lengths under a padding budget ([`STRIPE_PAD_BUDGET_PCT`]) — and
+//!   sweeps each stripe with the inter-pair striped kernel (every SIMD
+//!   lane a different pair, per-lane banding masks and early-termination
+//!   flags, lanes retiring independently). Workers pull units off one
+//!   shared cursor, each into its own persistent scratch arena
+//!   ([`BatchEngine`]); results come back in input order — and
+//!   byte-identical to the sequential loop. The §6 database scan
+//!   sharpens this into
+//!   [`crate::early_termination::scan_packed_topk_with`], whose shared
 //!   top-k ratchet tightens the fused threshold as hits land.
 //!
 //! See `docs/KERNELS.md` in the repository root for memory layouts, the
@@ -116,31 +117,20 @@ pub const WAVEFRONT_MIN_BAND: usize = 8;
 pub const U16_MIN_LEN: usize = 512;
 
 /// Smallest number of same-cohort pairs worth launching as one striped
-/// (inter-pair SIMD) sweep in [`align_batch`]: a stripe's cost is nearly
-/// independent of how many of its lanes are live, so below this
-/// occupancy the per-pair wavefront kernel is cheaper. Leftover pairs
+/// (inter-pair SIMD) sweep in [`BatchEngine::align_batch`]: a stripe's
+/// cost is nearly independent of how many of its lanes are live, so
+/// below this occupancy the per-pair wavefront kernel is cheaper. Leftover pairs
 /// of a partially filled stripe run per pair.
 pub const STRIPE_MIN_PAIRS: usize = 4;
 
-/// Length quantum of the **legacy** [`PackerPolicy::ExactBucket`]
-/// cohort grouping: pairs whose `(n, m)` round up to the same multiple
-/// of this share a cohort, and each stripe is padded to the cohort
-/// ceiling with sentinel cells. A coarser quantum fills stripes faster
-/// on ragged batches; a finer one wastes fewer padded cells. 16 keeps
-/// worst-case padding below ~25% at the shortest striped lengths
-/// (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`]). The default
-/// [`PackerPolicy::LengthAware`] packer replaces the quantum with a
-/// per-stripe padding budget ([`STRIPE_PAD_BUDGET_PCT`]).
-pub const COHORT_LEN_BUCKET: usize = 16;
-
-/// Padding budget of the [`PackerPolicy::LengthAware`] stripe packer,
-/// in percent: a stripe may accept a further pair only while
+/// Padding budget of the length-aware stripe packer, in percent: a
+/// stripe may accept a further pair only while
 /// `padded cells ≤ budget% · useful cells`, where *useful* is the sum
 /// of each member's own (banded) cell count and *padded* is what the
 /// members' lanes additionally sweep when padded to the stripe's union
-/// shape. 25% mirrors the worst-case padding the legacy 16-quantum
-/// bucketing tolerated, but is now spent where it buys occupancy
-/// instead of wherever bucket boundaries happen to fall.
+/// shape. 25% mirrors the worst-case padding of the earlier 16-quantum
+/// length bucketing, but is spent where it buys occupancy instead of
+/// wherever bucket boundaries happen to fall.
 pub const STRIPE_PAD_BUDGET_PCT: u64 = 25;
 
 /// Which traversal order the engine's fused kernel uses.
@@ -174,37 +164,6 @@ impl std::fmt::Display for KernelStrategy {
             KernelStrategy::Auto => write!(f, "auto"),
             KernelStrategy::RollingRow => write!(f, "rolling-row"),
             KernelStrategy::Wavefront => write!(f, "wavefront"),
-        }
-    }
-}
-
-/// How [`align_batch`] groups wavefront-eligible pairs into stripes.
-///
-/// Both policies produce **identical outcomes** (each stripe's lanes
-/// mirror the per-pair kernel exactly, whatever the grouping); they
-/// differ only in how many pairs end up riding stripes on ragged
-/// batches, i.e. in throughput. The A/B knob exists so the packer win
-/// is benchmarkable against a fixed ruler and so a packing regression
-/// shows up as a number, not a vibe (`batch_plan_stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PackerPolicy {
-    /// Sort pairs by `(n, m)` and greedily pack consecutive pairs into
-    /// stripes while the padding stays under
-    /// [`STRIPE_PAD_BUDGET_PCT`] — cross-length stripes, padded lanes
-    /// retiring early. The default.
-    #[default]
-    LengthAware,
-    /// The PR 3 planner: only pairs sharing an exact 16-rounded
-    /// `(⌈n⌉₁₆, ⌈m⌉₁₆)` bucket ([`COHORT_LEN_BUCKET`]) share a stripe.
-    /// Kept as the benchmark ruler for the length-aware packer.
-    ExactBucket,
-}
-
-impl std::fmt::Display for PackerPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PackerPolicy::LengthAware => write!(f, "length-aware"),
-            PackerPolicy::ExactBucket => write!(f, "exact-bucket"),
         }
     }
 }
@@ -629,11 +588,6 @@ pub struct AlignConfig {
     /// benchmarking the lane-width win, never needed for correctness
     /// (every eligible width computes identical scores).
     pub lane_floor: LaneWidth,
-    /// How [`align_batch`] packs pairs into stripes
-    /// ([`PackerPolicy::LengthAware`] by default; the legacy
-    /// [`PackerPolicy::ExactBucket`] is the benchmarking ruler). Pure
-    /// throughput knob — outcomes are identical under either policy.
-    pub packer: PackerPolicy,
     /// Which alignment problem the kernels race
     /// ([`AlignMode::Global`] by default): boundary injection, readout
     /// rule, and — for [`AlignMode::Local`] — the max-plus arithmetic.
@@ -666,7 +620,6 @@ impl AlignConfig {
             threshold: None,
             strategy: KernelStrategy::Auto,
             lane_floor: LaneWidth::U8,
-            packer: PackerPolicy::default(),
             mode: AlignMode::Global,
         };
         cfg.validate()?;
@@ -700,15 +653,6 @@ impl AlignConfig {
     #[must_use]
     pub fn with_lane_floor(mut self, floor: LaneWidth) -> Self {
         self.lane_floor = floor;
-        self
-    }
-
-    /// Pins the batch stripe-packing policy — an A/B benchmarking knob
-    /// ([`PackerPolicy::ExactBucket`] reproduces the PR 3 planner);
-    /// outcomes are identical under either policy.
-    #[must_use]
-    pub fn with_packer(mut self, packer: PackerPolicy) -> Self {
-        self.packer = packer;
         self
     }
 
@@ -1027,67 +971,56 @@ fn row_update(
 
 /// Fills `grid` (row-major, `(n+1) × (m+1)`, raw `u64` with
 /// [`NEVER`] = +∞) with the arrival fixed point of racing `q_codes`
-/// against `p_codes` in **row-major (rolling-row) order** — the
-/// historical kernel behind `run_functional` and `banded_race`.
-/// Equivalent to [`fill_grid_with`] with
-/// [`KernelStrategy::RollingRow`]. Returns the number of cells computed.
+/// against `p_codes` under `cfg`'s weights, band and mode, in `cfg`'s
+/// traversal order — the full-grid kernel behind `run_functional`,
+/// `banded_race` and [`crate::semi_global::semi_global_race`]. Returns
+/// the number of cells computed. `cfg.threshold` is ignored: a full
+/// grid is the point.
+///
+/// The mode only sets the top-row boundary: [`AlignMode::Global`]
+/// charges it as an indel chain, [`AlignMode::SemiGlobal`] injects the
+/// race signal along the entire top row for free (the "query anywhere
+/// in the reference" wiring).
+///
+/// Both traversal orders produce the **identical** grid (same cell set,
+/// same values, same count — property-tested); they differ only in
+/// memory access pattern. [`KernelStrategy::Auto`] resolves to the
+/// rolling row here: materializing a full row-major grid is exactly the
+/// workload the rolling row is cache-optimal for, while the wavefront
+/// order pays a `cols − 1` stride per step. The wavefront order exists
+/// for verification and for callers that want arrival grids in the
+/// hardware's evaluation order; the *fast* wavefront path is the
+/// score-only [`AlignEngine::align`], which keeps only three diagonals
+/// of state.
 ///
 /// `grid` is cleared and resized in place, so a caller that reuses the
 /// same buffer allocates nothing after warm-up.
 ///
 /// # Panics
 ///
-/// Panics if `weights.indel == 0`.
-pub fn fill_grid(
-    q_codes: &[u8],
-    p_codes: &[u8],
-    weights: RaceWeights,
-    band: Option<usize>,
-    grid: &mut Vec<u64>,
-) -> u64 {
-    fill_grid_with(
-        q_codes,
-        p_codes,
-        weights,
-        band,
-        KernelStrategy::RollingRow,
-        grid,
-    )
-}
-
-/// [`fill_grid`] with an explicit traversal order.
-///
-/// Both orders produce the **identical** grid (same cell set, same
-/// values, same count — property-tested); they differ only in memory
-/// access pattern. [`KernelStrategy::Auto`] resolves to row-major here:
-/// materializing a full row-major grid is exactly the workload the
-/// rolling row is cache-optimal for, while the wavefront order pays a
-/// `cols − 1` stride per step. The wavefront variant exists for
-/// verification and for callers that want arrival grids in the
-/// hardware's evaluation order; the *fast* wavefront path is the
-/// score-only [`AlignEngine::align`], which keeps only three diagonals
-/// of state.
-///
-/// # Panics
-///
-/// Panics if `weights.indel == 0`.
-pub fn fill_grid_with(
-    q_codes: &[u8],
-    p_codes: &[u8],
-    weights: RaceWeights,
-    band: Option<usize>,
-    strategy: KernelStrategy,
-    grid: &mut Vec<u64>,
-) -> u64 {
-    assert!(weights.indel > 0, "indel weight must be positive");
-    let w = RawWeights::from_weights(weights);
+/// Panics if `cfg` is invalid (e.g. `weights.indel == 0`), or for
+/// [`AlignMode::Local`] / [`AlignMode::GlobalAffine`] (their grids are
+/// max-plus / three-plane — use the score-only engine for those modes).
+pub fn fill_grid(q_codes: &[u8], p_codes: &[u8], cfg: &AlignConfig, grid: &mut Vec<u64>) -> u64 {
+    cfg.assert_valid();
+    assert!(
+        matches!(cfg.mode, AlignMode::Global | AlignMode::SemiGlobal),
+        "fill_grid covers the linear min-plus modes; \
+         local/affine grids have no single-plane u64 representation"
+    );
+    let w = RawWeights::from_weights(cfg.weights);
+    let band = cfg.band;
     let (n, m) = (q_codes.len(), p_codes.len());
     let cols = m + 1;
+    let top = |j: usize| match cfg.mode {
+        AlignMode::SemiGlobal => 0,
+        _ => (j as u64).saturating_mul(w.indel),
+    };
     grid.clear();
     grid.resize((n + 1) * cols, NEVER);
     let mut cells = 0_u64;
 
-    if strategy == KernelStrategy::Wavefront {
+    if cfg.strategy == KernelStrategy::Wavefront {
         // Anti-diagonal order straight over the row-major grid. Cells
         // outside the band keep their NEVER pre-fill, which is exactly
         // the +∞ every in-band neighbour read expects.
@@ -1100,7 +1033,7 @@ pub fn fill_grid_with(
                 let j = d - i;
                 let idx = i * cols + j;
                 grid[idx] = if i == 0 {
-                    (j as u64).saturating_mul(w.indel)
+                    top(j)
                 } else if j == 0 {
                     (i as u64).saturating_mul(w.indel)
                 } else {
@@ -1118,11 +1051,11 @@ pub fn fill_grid_with(
         return cells;
     }
 
-    // Row 0: indel chain along the top boundary, clipped to the band.
+    // Row 0: the mode's top boundary, clipped to the band.
     let (lo0, hi0) = band_range(0, m, band);
     debug_assert_eq!(lo0, 0);
     for (j, cell) in grid.iter_mut().enumerate().take(hi0 + 1) {
-        *cell = (j as u64).saturating_mul(w.indel);
+        *cell = top(j);
     }
     cells += (hi0 - lo0 + 1) as u64;
 
@@ -1130,65 +1063,6 @@ pub fn fill_grid_with(
         let (lo, hi) = band_range(i, m, band);
         if lo > hi {
             continue; // band excludes the entire row
-        }
-        let (prev_rows, curr_rows) = grid.split_at_mut(i * cols);
-        let prev = &prev_rows[(i - 1) * cols..];
-        let curr = &mut curr_rows[..cols];
-        row_update(i, q_codes[i - 1], p_codes, w, prev, curr, (lo, hi));
-        cells += (hi - lo + 1) as u64;
-    }
-    cells
-}
-
-/// [`fill_grid`] with a mode-aware boundary: fills the row-major grid
-/// with the arrival fixed point under `mode`'s injection rule —
-/// [`AlignMode::Global`] charges the top row as an indel chain,
-/// [`AlignMode::SemiGlobal`] injects the race signal along the entire
-/// top row for free (the "query anywhere in the reference" wiring).
-/// Runs in rolling-row order (materializing a row-major grid is the
-/// workload that order is cache-optimal for); the score-only fast paths
-/// live on [`AlignEngine::align`]. Returns the number of cells
-/// computed. [`crate::semi_global::semi_global_race`] is a thin wrapper
-/// over this fill.
-///
-/// # Panics
-///
-/// Panics if `weights.indel == 0`, or for [`AlignMode::Local`] /
-/// [`AlignMode::GlobalAffine`] (their grids are max-plus / three-plane —
-/// use the score-only engine for those modes).
-pub fn fill_grid_mode(
-    q_codes: &[u8],
-    p_codes: &[u8],
-    weights: RaceWeights,
-    band: Option<usize>,
-    mode: AlignMode,
-    grid: &mut Vec<u64>,
-) -> u64 {
-    assert!(weights.indel > 0, "indel weight must be positive");
-    assert!(
-        matches!(mode, AlignMode::Global | AlignMode::SemiGlobal),
-        "fill_grid_mode covers the linear min-plus modes; \
-         local/affine grids have no single-plane u64 representation"
-    );
-    if mode == AlignMode::Global {
-        return fill_grid(q_codes, p_codes, weights, band, grid);
-    }
-    let w = RawWeights::from_weights(weights);
-    let (n, m) = (q_codes.len(), p_codes.len());
-    let cols = m + 1;
-    grid.clear();
-    grid.resize((n + 1) * cols, NEVER);
-    let mut cells = 0_u64;
-
-    // Row 0: the free-injection row, clipped to the band.
-    let (lo0, hi0) = band_range(0, m, band);
-    grid[..=hi0].fill(0);
-    cells += (hi0 - lo0 + 1) as u64;
-
-    for i in 1..=n {
-        let (lo, hi) = band_range(i, m, band);
-        if lo > hi {
-            continue;
         }
         let (prev_rows, curr_rows) = grid.split_at_mut(i * cols);
         let prev = &prev_rows[(i - 1) * cols..];
@@ -2409,9 +2283,6 @@ impl AlignEngine {
 /// after warm-up at a working-set size, batching re-transposes planes
 /// and rotates buffers in place instead of reallocating per call, the
 /// batch analogue of [`AlignEngine`]'s zero-allocation contract.
-///
-/// The free functions [`align_batch`] / [`align_batch_refs`] are
-/// one-shot wrappers over a transient `BatchEngine`.
 pub struct BatchEngine {
     cfg: AlignConfig,
     scratch: crate::striped::BatchScratch,
@@ -2445,9 +2316,28 @@ impl BatchEngine {
         self.cfg = cfg;
     }
 
-    /// Aligns every `(q, p)` pair, in parallel, with results in input
-    /// order — see [`align_batch`] for the execution model. Outcomes
-    /// are **identical** to a sequential [`AlignEngine::align`] loop.
+    /// Aligns every `(q, p)` pair under the engine's configuration, in
+    /// parallel, with results in input order.
+    ///
+    /// Two levels of parallelism are fused. Across cores, the batch is
+    /// planned into work units that workers pull off one shared unit
+    /// cursor, each into its own scratch set, so ragged units balance
+    /// themselves and the plan does not depend on the worker count.
+    /// Within a core, pairs whose plan resolves to the wavefront kernel
+    /// are packed into stripes by the length-aware packer — pairs sorted
+    /// by `(n, m)`, consecutive pairs greedily sharing a stripe while
+    /// padding stays under [`STRIPE_PAD_BUDGET_PCT`] — and each stripe is
+    /// swept by the **striped batch kernel**: each SIMD lane of one
+    /// anti-diagonal sweep is a *different pair*, with per-lane banding
+    /// masks and per-lane early termination, lanes retiring
+    /// independently — the software analogue of tiling many small
+    /// alignments onto one Race Logic array. Stripes with fewer than
+    /// [`STRIPE_MIN_PAIRS`] live lanes, and pairs that resolve to the
+    /// rolling row, run per pair.
+    ///
+    /// Every outcome is **identical** to what a sequential
+    /// [`AlignEngine::align`] loop would produce — scores, cell counts
+    /// and early-termination verdicts alike (property-tested).
     #[must_use]
     pub fn align_batch<S: Symbol>(
         &mut self,
@@ -2502,9 +2392,9 @@ impl BatchEngine {
 }
 
 /// Static occupancy accounting of a batch plan — how well
-/// [`align_batch`] would pack `pairs` under `cfg`, before running
-/// anything. The numbers behind `engine_baseline --occupancy`, exposed
-/// so packer regressions are visible as numbers, not vibes.
+/// [`BatchEngine::align_batch`] would pack `pairs` under `cfg`, before
+/// running anything. The numbers behind `engine_baseline --occupancy`,
+/// exposed so packer regressions are visible as numbers, not vibes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchPlanStats {
     /// Pairs in the batch.
@@ -2562,46 +2452,6 @@ pub fn batch_plan_stats<S: Symbol>(
 ) -> BatchPlanStats {
     let refs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = pairs.iter().map(|(q, p)| (q, p)).collect();
     crate::striped::plan_stats_impl(cfg, &refs)
-}
-
-/// Aligns every `(q, p)` pair under `cfg`, in parallel, with results in
-/// input order.
-///
-/// Two levels of parallelism are fused. Across cores, work is chunked
-/// with rayon, one scratch set per worker chunk. Within a core, pairs
-/// whose plan resolves to the wavefront kernel are packed into stripes
-/// by the configured [`PackerPolicy`] — by default the length-aware
-/// packer: pairs sorted by `(n, m)`, consecutive pairs greedily sharing
-/// a stripe while padding stays under [`STRIPE_PAD_BUDGET_PCT`] — and
-/// each stripe is swept by the **striped batch kernel**
-/// (`race_logic`'s inter-pair SIMD path): each SIMD lane of one
-/// anti-diagonal sweep is a *different pair*, with per-lane banding
-/// masks and per-lane early termination, lanes retiring independently —
-/// the software analogue of tiling many small alignments onto one Race
-/// Logic array. Stripes with fewer than [`STRIPE_MIN_PAIRS`] live lanes,
-/// and pairs that resolve to the rolling row, run per pair as before.
-///
-/// Every outcome is **identical** to what a sequential
-/// [`AlignEngine::align`] loop would produce — scores, cell counts and
-/// early-termination verdicts alike (property-tested), under either
-/// packer policy.
-#[must_use]
-pub fn align_batch<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(PackedSeq<S>, PackedSeq<S>)],
-) -> Vec<EngineOutcome> {
-    BatchEngine::new(*cfg).align_batch(pairs)
-}
-
-/// [`align_batch`] over borrowed operands — for callers whose pairs
-/// share sequences (e.g. one query against a whole database), where an
-/// owned pair slice would clone the shared side once per pair.
-#[must_use]
-pub fn align_batch_refs<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-) -> Vec<EngineOutcome> {
-    BatchEngine::new(*cfg).align_batch_refs(pairs)
 }
 
 #[cfg(test)]
@@ -2956,7 +2806,7 @@ mod tests {
             .iter()
             .map(|s| (packed(s), packed("ACGTACG")))
             .collect();
-        let batch = align_batch(&cfg, &pairs);
+        let batch = BatchEngine::new(cfg).align_batch(&pairs);
         let mut engine = AlignEngine::new(cfg);
         let seq: Vec<_> = pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
         assert_eq!(batch, seq);
@@ -2965,7 +2815,7 @@ mod tests {
     #[test]
     fn batch_of_nothing() {
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        assert!(align_batch::<Dna>(&cfg, &[]).is_empty());
+        assert!(BatchEngine::new(cfg).align_batch::<Dna>(&[]).is_empty());
     }
 
     #[test]
@@ -3062,24 +2912,29 @@ mod tests {
         }
 
         /// The wavefront full-grid fill produces the identical grid to
-        /// the rolling-row fill (same values, same cell count).
+        /// the rolling-row fill (same values, same cell count), in both
+        /// linear modes.
         #[test]
         fn wavefront_grid_equals_rolling_grid(
-            qs in "[ACGT]{0,16}", ps in "[ACGT]{0,16}", band_raw in 0_usize..19
+            qs in "[ACGT]{0,16}", ps in "[ACGT]{0,16}", band_raw in 0_usize..19,
+            semi in 0_usize..2
         ) {
             // band_raw == 18 encodes "unbanded" (the shim has no option strategy).
-            let band = (band_raw < 18).then_some(band_raw);
             let (q, p) = (dna(&qs), dna(&ps));
-            let w = RaceWeights::fig2b();
+            let mode = [AlignMode::Global, AlignMode::SemiGlobal][semi];
+            let mut cfg = AlignConfig::new(RaceWeights::fig2b()).with_mode(mode);
+            if band_raw < 18 {
+                cfg = cfg.with_band(band_raw);
+            }
             let q_codes: Vec<u8> = q.codes().collect();
             let p_codes: Vec<u8> = p.codes().collect();
             let mut g_row = Vec::new();
             let mut g_wave = Vec::new();
-            let c_row = fill_grid_with(
-                &q_codes, &p_codes, w, band, KernelStrategy::RollingRow, &mut g_row,
+            let c_row = fill_grid(
+                &q_codes, &p_codes, &cfg.with_strategy(KernelStrategy::RollingRow), &mut g_row,
             );
-            let c_wave = fill_grid_with(
-                &q_codes, &p_codes, w, band, KernelStrategy::Wavefront, &mut g_wave,
+            let c_wave = fill_grid(
+                &q_codes, &p_codes, &cfg.with_strategy(KernelStrategy::Wavefront), &mut g_wave,
             );
             prop_assert_eq!(g_row, g_wave);
             prop_assert_eq!(c_row, c_wave);
@@ -3128,7 +2983,7 @@ mod tests {
                 .iter()
                 .map(|s| (packed(s), packed("GATTCGA")))
                 .collect();
-            let batch = align_batch(&cfg, &pairs);
+            let batch = BatchEngine::new(cfg).align_batch(&pairs);
             let mut engine = AlignEngine::new(cfg);
             for (i, (q, p)) in pairs.iter().enumerate() {
                 prop_assert_eq!(batch[i], engine.align(q, p));

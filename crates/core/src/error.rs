@@ -8,7 +8,7 @@ use crate::supervisor::StopReason;
 
 /// Typed errors from the alignment engine's validated entry points
 /// (`try_*` constructors, supervised scans). The legacy panicking
-/// surface (`AlignConfig::new`, `scan_database_topk_with`, …) raises the
+/// surface (`AlignConfig::new`, `scan_packed_topk_with`, …) raises the
 /// same conditions as panics whose messages match these displays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlignError {

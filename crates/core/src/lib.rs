@@ -20,13 +20,13 @@
 //! | [`compiler`] | §3, Fig. 3 | weighted DAG → gate-level race circuit (OR/AND type), plus execution |
 //! | [`functional`] | §3 | fast event-driven race simulation (no gates), the race as a discrete-event process |
 //! | [`alignment`] | §4, Fig. 4 | the DNA global-alignment race array, gate-level and functional |
-//! | [`engine`] | throughput | the batched zero-allocation alignment engine: four alignment modes (global, semi-global, local max-plus, three-plane affine) on fused kernels (rolling-row; SIMD wavefront in absolute and compacted-band layouts; banding + early termination) over packed sequences, plus `align_batch` with its inter-pair striped batch kernel |
+//! | [`engine`] | throughput | the batched zero-allocation alignment engine: four alignment modes (global, semi-global, local max-plus, three-plane affine) on fused kernels (rolling-row; SIMD wavefront in absolute and compacted-band layouts; banding + early termination) over packed sequences, the one full-grid [`engine::fill_grid`], plus [`engine::BatchEngine`] with its inter-pair striped batch kernel |
 //! | [`simd`] | throughput | portable lane operations (`u16`/`u32`/`u64` kernel words) behind the wavefront kernels' inner loops |
 //! | [`wavefront`] | §4.3, Fig. 6 | per-cycle wavefront traces of the propagating signal |
 //! | [`gating`] | §4.3, Fig. 7 | data-dependent clock gating over m×m multi-cell regions |
 //! | [`score_transform`] | §5 | arbitrary score matrices (BLOSUM62…) → positive delay weights, and exact score recovery |
 //! | [`generalized`] | §5, Fig. 8 | the generalized cell: saturating counter + weight taps + set-on-arrival |
-//! | [`early_termination`] | §6 | thresholded races that abandon dissimilar pairs early |
+//! | [`early_termination`] | §6 | thresholded races that abandon dissimilar pairs early, and the ratcheted top-k scan: [`early_termination::scan_packed_topk_with`] (unsupervised) and the one supervised, resumable call [`early_termination::scan`] over a borrowed [`early_termination::ScanDb`] (memory or store) |
 //! | [`supervisor`] | robustness | supervised scan execution: cancellation, deadlines, cell budgets, per-stripe panic isolation with fallback retry, resume tokens, and a feature-gated fault-injection harness |
 //! | [`service`] | robustness | the long-lived scan service: bounded admission by estimated cells, overload shedding, retry with exponential backoff, resumable queries, and a heartbeat watchdog |
 //! | [`store`] | robustness | the crash-safe persistent packed-shard store: versioned checksummed on-disk format, lazy integrity verification, corruption quarantine with replica fallback, and content-hash-bound resume tokens |

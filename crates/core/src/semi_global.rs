@@ -13,7 +13,7 @@
 //! Since the engine grew [`crate::engine::AlignMode::SemiGlobal`],
 //! this module is a **thin wrapper over the engine**:
 //! [`semi_global_race`] runs the engine's mode-aware grid fill
-//! ([`crate::engine::fill_grid_mode`] — the same `row_update` kernel
+//! ([`crate::engine::fill_grid`] — the same `row_update` kernel
 //! every rolling-row path shares) and derives the score, end column and
 //! bottom-row profile from the filled grid. Score-only callers (scans,
 //! batches) should configure the engine directly:
@@ -27,7 +27,7 @@ use rl_bio::{alphabet::Symbol, Seq};
 use rl_temporal::Time;
 
 use crate::alignment::RaceWeights;
-use crate::engine::{fill_grid_mode, raw_to_time, AlignMode};
+use crate::engine::{fill_grid, raw_to_time, AlignConfig, AlignMode};
 
 /// The outcome of a semi-global race.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,14 +62,8 @@ pub fn semi_global_race<S: Symbol>(
     // The engine's mode-aware grid fill: free top-row injection, the
     // shared rolling-row kernel for the interior.
     let mut grid = Vec::new();
-    fill_grid_mode(
-        &q_codes,
-        &p_codes,
-        weights,
-        None,
-        AlignMode::SemiGlobal,
-        &mut grid,
-    );
+    let cfg = AlignConfig::new(weights).with_mode(AlignMode::SemiGlobal);
+    fill_grid(&q_codes, &p_codes, &cfg, &mut grid);
     let bottom_row: Vec<Time> = grid[n * cols..(n + 1) * cols]
         .iter()
         .map(|&raw| raw_to_time(raw))
@@ -201,7 +195,7 @@ mod tests {
         /// orders — agrees with this module's grid-backed wrapper.
         #[test]
         fn engine_mode_equals_wrapper(qs in "[ACGT]{0,12}", ps in "[ACGT]{0,20}") {
-            use crate::engine::{AlignConfig, AlignEngine, AlignMode, KernelStrategy};
+            use crate::engine::{AlignEngine, KernelStrategy};
             let (q, p) = (dna(&qs), dna(&ps));
             for w in [RaceWeights::fig4(), RaceWeights::levenshtein()] {
                 let wrapper = semi_global_race(&q, &p, w).score;

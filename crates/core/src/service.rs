@@ -22,7 +22,7 @@
 //!   backoff into the query's cumulative ledger.
 //! - **Admission control + overload shedding** — [`ScanService::try_submit`]
 //!   bounds the queue by entry count *and* by total estimated DP cells
-//!   ([`estimate_scan_cells`](crate::early_termination::estimate_scan_cells)),
+//!   ([`ScanDb::estimate_cells`]),
 //!   answering with typed [`SubmitError::Overloaded`] /
 //!   [`SubmitError::Rejected`] backpressure instead of blocking; past
 //!   the high watermark the costliest *queued* queries (never the
@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use rl_bio::{alphabet::Symbol, PackedSeq};
 
-use crate::early_termination::{bind_token, run_scan, validate_scan, ScanDb};
+use crate::early_termination::{bind_token, scan, validate_scan, ScanDb};
 use crate::engine::AlignConfig;
 use crate::error::AlignError;
 use crate::store::StoreTarget;
@@ -707,10 +707,7 @@ impl<S: Symbol> ScanService<S> {
         // the manifest, so a cold (just-opened) DB is priced without a
         // single payload chunk touch (regression-tested). A resumed
         // query is priced over its pending pairs only.
-        let est_cells = match &resume {
-            None => db.cells(&req.cfg, req.query.len(), 0..db.len()),
-            Some(token) => db.cells(&req.cfg, req.query.len(), token.pending_indices()),
-        };
+        let est_cells = db.estimate_cells(&req.cfg, req.query.len(), resume.as_ref());
         let mut state = self.inner.lock();
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -911,7 +908,7 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
             if token.is_some() {
                 fp_hit("service-resume");
             }
-            run_scan(
+            scan(
                 &req.cfg,
                 &req.query,
                 req.source.db(),

@@ -23,7 +23,7 @@
 //!   verifies the header and manifest *eagerly* but chunk checksums
 //!   *lazily at first touch* — cold opens are metadata-only.
 //! - **Manifest-costed admission** — the manifest records every entry's
-//!   length, so [`estimate_store_scan_cells`] (and therefore
+//!   length, so [`ScanDb::estimate_cells`] (and therefore
 //!   [`crate::service::ScanService`] admission) prices a query without
 //!   touching a single payload chunk.
 //! - **Corruption quarantine** — a failed chunk verification surfaces
@@ -77,7 +77,7 @@ use std::sync::{Arc, Mutex};
 
 use rl_bio::{alphabet::Symbol, PackedSeq};
 
-use crate::early_termination::{run_scan, ScanDb};
+use crate::early_termination::{scan, ScanDb};
 use crate::engine::AlignConfig;
 use crate::error::AlignError;
 use crate::supervisor::{fp_hit, panic_message, Fault, ResumeToken, ScanControl, ScanOutcome};
@@ -1193,42 +1193,12 @@ impl<S: Symbol> StoreTarget<S> {
     }
 }
 
-/// The admission-control cost estimate of a store-backed scan over the
-/// pending entries `ids` (or the whole store for `None`), priced purely
-/// from manifest lengths — zero payload chunks are touched, so a cold
-/// service can admit or refuse queries without a single page fault
-/// (regression-tested via [`PackedStore::chunks_loaded`]).
-#[must_use]
-pub fn estimate_store_scan_cells<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    store: &PackedStore<S>,
-    ids: Option<&[usize]>,
-) -> u64 {
-    let per = |i: usize| crate::striped::grid_cells(query.len(), store.entry_len(i), cfg.band);
-    match ids {
-        Some(ids) => ids.iter().map(|&i| per(i)).sum(),
-        None => (0..store.len()).map(per).sum(),
-    }
-}
-
-/// A store-backed [`crate::early_termination::scan_packed_topk_resumable`]:
-/// races `query` against every entry of `target` for the `k` best hits
-/// under `ctrl`, reporting hits and ledger entries in the caller's
-/// *original input index* space — over a healthy store the result is
-/// byte-identical to the in-memory scan of the same entries
-/// (property-tested).
-///
-/// Corrupt or unreadable shards are quarantined: their pairs are served
-/// from a healthy replica when the target has one (a recovered
-/// `store-chunk-read` fault in the ledger), otherwise they land as
-/// faulted, *retryable* pairs in the returned token — the
-/// [`crate::service::ScanService`] backoff policy retries them, and an
-/// exhausted retry budget leaves an honest partial [`ScanOutcome`]
-/// (`completed + faulted + remaining == total`), never a panic.
-///
-/// The returned token carries the store's content hash; it can only
-/// resume against a store with identical content.
+/// A store-backed scan from the first pair: [`scan`] over
+/// [`ScanDb::Store`] — hits and ledger entries in the caller's original
+/// input index space, corrupt shards quarantined to a replica or to
+/// retryable faulted pairs, and a returned token bound to the store's
+/// content hash. Over a healthy store the result is byte-identical to
+/// the in-memory scan of the same entries (property-tested).
 pub fn scan_store_topk_resumable<S: Symbol>(
     cfg: &AlignConfig,
     query: &PackedSeq<S>,
@@ -1237,32 +1207,7 @@ pub fn scan_store_topk_resumable<S: Symbol>(
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    run_scan(cfg, query, ScanDb::Store(target), k, None, workers, ctrl)
-}
-
-/// Continues an interrupted store scan from its [`ResumeToken`] (the
-/// store analogue of
-/// [`crate::early_termination::scan_packed_topk_resume`]). The token
-/// must carry this target's content hash: a token from a rebuilt,
-/// corrupted, or different store is rejected with a typed error —
-/// resuming it could double-count or mis-attribute pairs.
-pub fn scan_store_topk_resume<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    target: &StoreTarget<S>,
-    token: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    run_scan(
-        cfg,
-        query,
-        ScanDb::Store(target),
-        token.k,
-        Some(token),
-        workers,
-        ctrl,
-    )
+    scan(cfg, query, ScanDb::Store(target), k, None, workers, ctrl)
 }
 
 /// What [`materialize_pending`] hands back: the materialized

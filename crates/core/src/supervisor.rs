@@ -2,7 +2,7 @@
 //! isolation, and a deterministic fault-injection harness.
 //!
 //! The batch and scan pipelines ([`crate::engine::BatchEngine`],
-//! [`crate::early_termination::scan_database_topk_with`]) are built to run as
+//! [`crate::early_termination::scan`]) are built to run as
 //! long-lived services over co-batched tenants. This module is the
 //! robustness substrate that makes that safe:
 //!
@@ -23,7 +23,7 @@
 //!   byte-identical to the unfaulted run (tested under injected panics).
 //! - [`ResumeToken`] — the checkpoint of an interrupted scan: remaining
 //!   pairs plus the carried top-k bound, consumed by
-//!   [`crate::early_termination::scan_packed_topk_resume`] so a stopped
+//!   [`crate::early_termination::scan`] so a stopped
 //!   scan continues to a final top-k byte-identical to an uninterrupted
 //!   run.
 //! - `failpoint` — a feature-gated (`failpoints`), zero-cost-when-off
@@ -425,9 +425,9 @@ impl ScanOutcome {
 }
 
 /// A checkpoint of an interrupted top-k scan, produced by
-/// [`crate::early_termination::scan_packed_topk_resumable`] alongside a
-/// partial [`ScanOutcome`] and consumed by
-/// [`crate::early_termination::scan_packed_topk_resume`].
+/// [`crate::early_termination::scan`] alongside a partial
+/// [`ScanOutcome`] and consumed by the next `scan` call that passes it
+/// back.
 ///
 /// The token carries the pair indices still to run, the cumulative
 /// accounting of every earlier segment, and the carried top-k hits that

@@ -267,7 +267,7 @@ fn persistent_stripe_panics_still_complete_the_scan() {
 
 use std::sync::{Arc, Mutex};
 
-use race_logic::early_termination::{scan_packed_topk_resumable, scan_packed_topk_resume};
+use race_logic::early_termination::{scan, ScanDb};
 use race_logic::service::{BackoffTimer, ScanRequest, ScanService, ServiceConfig, SubmitError};
 use race_logic::AlignError;
 
@@ -299,7 +299,7 @@ fn budget_trip_during_quarantine_is_interrupted_not_lost() {
     failpoint::arm_times("stripe-sweep", Action::Panic, 1);
     let ctrl = ScanControl::new().with_cells_budget(1);
     let (outcome, token) =
-        scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
+        scan(&cfg, &q, ScanDb::Memory(&database), 3, None, Some(1), &ctrl).unwrap();
     failpoint::disarm_all();
 
     assert_eq!(outcome.stop, Some(StopReason::BudgetExhausted));
@@ -325,8 +325,16 @@ fn budget_trip_during_quarantine_is_interrupted_not_lost() {
 
     // The token resumes the interrupted members to the exact baseline.
     let token = token.expect("an interrupted scan must be resumable");
-    let (full, none) =
-        scan_packed_topk_resume(&cfg, &q, &database, token, Some(1), &ScanControl::new()).unwrap();
+    let (full, none) = scan(
+        &cfg,
+        &q,
+        ScanDb::Memory(&database),
+        token.k(),
+        Some(token),
+        Some(1),
+        &ScanControl::new(),
+    )
+    .unwrap();
     assert!(none.is_none());
     assert!(full.is_complete());
     assert_eq!(full.hits, baseline.hits);
@@ -424,12 +432,16 @@ fn service_retry_panic_finalizes_partial_after_watchdog() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     // 40 pairs = two u8 stripes: the first sweep sleeps through the
     // watchdog timeout, the second unit observes the trip and stops.
+    // One scan worker keeps the two stripes one after the other at any
+    // thread count (concurrent stripes would both be claimed before the
+    // trip).
     let (q, database) = db(3, 40, 64);
     let database = Arc::new(database);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
 
     let service = ScanService::new(
         ServiceConfig::default()
+            .with_workers(1)
             .with_watchdog(Duration::from_millis(30))
             .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );
@@ -533,13 +545,13 @@ proptest! {
         failpoint::arm("affine-stripe", Action::Panic);
         let ctrl = ScanControl::new().with_cells_budget(budget_step);
         let (mut outcome, mut token) =
-            scan_packed_topk_resumable(&cfg, &q, &database, 3, workers, &ctrl).unwrap();
+            scan(&cfg, &q, ScanDb::Memory(&database), 3, None, workers, &ctrl).unwrap();
         let mut segments = 1_usize;
         while let Some(tok) = token {
             prop_assert!(segments <= entries, "chain stopped making progress");
             let ctrl = ScanControl::new().with_cells_budget(budget_step);
             let (next, next_token) =
-                scan_packed_topk_resume(&cfg, &q, &database, tok, workers, &ctrl).unwrap();
+                scan(&cfg, &q, ScanDb::Memory(&database), tok.k(), Some(tok), workers, &ctrl).unwrap();
             prop_assert_eq!(
                 next.completed_pairs + next.faulted_pairs + next.remaining_pairs(),
                 entries
@@ -565,8 +577,7 @@ proptest! {
 use std::path::PathBuf;
 
 use race_logic::store::{
-    build_store, scan_store_topk_resumable, scan_store_topk_resume, PackedStore, StoreError,
-    StoreParams, StoreTarget,
+    build_store, scan_store_topk_resumable, PackedStore, StoreError, StoreParams, StoreTarget,
 };
 
 fn fp_store_path(tag: &str) -> (PathBuf, StoreFileGuard) {
@@ -701,9 +712,16 @@ fn store_read_panic_quarantines_then_resume_completes() {
         let mut tok = token.expect("quarantined pairs are retryable");
         assert_eq!(tok.retryable_pairs(), outcome.faulted_pairs);
         tok.retry_faulted();
-        let (full, none) =
-            scan_store_topk_resume(&cfg, &q, &target, tok, Some(2), &ScanControl::new())
-                .expect("resume accepted");
+        let (full, none) = scan(
+            &cfg,
+            &q,
+            ScanDb::Store(&target),
+            tok.k(),
+            Some(tok),
+            Some(2),
+            &ScanControl::new(),
+        )
+        .expect("resume accepted");
         assert!(none.is_none());
         assert!(full.is_complete(), "site {site}: retry completes");
         assert_eq!(full.hits, baseline.hits, "site {site}");
@@ -884,7 +902,7 @@ proptest! {
                 if let Some(b) = budget {
                     ctrl = ctrl.with_cells_budget(b);
                 }
-                let res = scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(workers), &ctrl)
+                let res = scan(&cfg, &q, ScanDb::Memory(&database), 3, None, Some(workers), &ctrl)
                     .expect("valid request");
                 failpoint::disarm_all();
                 telemetry::set_enabled(prior);

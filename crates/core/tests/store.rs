@@ -12,14 +12,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
-use race_logic::early_termination::{
-    estimate_scan_cells, scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_with,
-};
+use race_logic::early_termination::{scan, scan_packed_topk_with, ScanDb};
 use race_logic::engine::{AffineWeights, AlignConfig, AlignMode, LocalScores};
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig, SubmitError};
 use race_logic::store::{
-    build_store, estimate_store_scan_cells, scan_store_topk_resumable, scan_store_topk_resume,
-    PackedStore, StoreError, StoreParams, StoreTarget,
+    build_store, scan_store_topk_resumable, PackedStore, StoreError, StoreParams, StoreTarget,
 };
 use race_logic::supervisor::ScanControl;
 use race_logic::AlignError;
@@ -275,9 +272,16 @@ fn corrupt_chunk_quarantines_its_shard_as_retryable() {
     let mut tok = token.expect("token for retryable pairs");
     assert_eq!(tok.retryable_pairs(), victims.len());
     tok.retry_faulted();
-    let (outcome2, token2) =
-        scan_store_topk_resume(&cfg, &query, &target, tok, Some(2), &ScanControl::new())
-            .expect("resume accepted");
+    let (outcome2, token2) = scan(
+        &cfg,
+        &query,
+        ScanDb::Store(&target),
+        tok.k(),
+        Some(tok),
+        Some(2),
+        &ScanControl::new(),
+    )
+    .expect("resume accepted");
     assert_eq!(outcome2.faulted_pairs, victims.len());
     assert_eq!(outcome2.hits, remapped);
     assert!(token2.is_some(), "still-corrupt shard stays retryable");
@@ -355,15 +359,18 @@ fn cold_admission_touches_zero_chunks() {
     let cfg = AlignConfig::new(RaceWeights::fig4()).with_band(12);
 
     // The manifest-priced estimate matches the in-memory one exactly…
-    let est = estimate_store_scan_cells(&cfg, &query, &store, None);
-    assert_eq!(est, estimate_scan_cells(&cfg, &query, &database));
+    let target = Arc::new(StoreTarget::new(Arc::clone(&store)));
+    let est = ScanDb::Store(&target).estimate_cells(&cfg, query.len(), None);
+    assert_eq!(
+        est,
+        ScanDb::Memory(&database).estimate_cells(&cfg, query.len(), None)
+    );
     // …and neither open_validated nor the estimate touched the payload.
     assert_eq!(store.chunks_loaded(), 0);
 
     // Service admission on a cold DB: a zero-length queue answers
     // `Overloaded` *after* computing the estimate, deterministically —
     // still zero payload touches.
-    let target = Arc::new(StoreTarget::new(Arc::clone(&store)));
     let service: ScanService<Dna> = ScanService::new(ServiceConfig::default().with_max_queue(0));
     let req = ScanRequest::from_store(cfg, query.clone(), Arc::clone(&target), 3);
     match service.try_submit(req.clone()) {
@@ -421,11 +428,12 @@ fn resume_token_binds_to_db_content_hash() {
     assert_eq!(token.db_hash(), Some(target.content_hash()));
 
     // Same content, different file/store instance: accepted.
-    let (outcome2, _t2) = scan_store_topk_resume(
+    let (outcome2, _t2) = scan(
         &cfg,
         &query,
-        &target,
-        token.clone(),
+        ScanDb::Store(&target),
+        token.k(),
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     )
@@ -434,11 +442,12 @@ fn resume_token_binds_to_db_content_hash() {
     assert_eq!(outcome2.hits, baseline.hits);
 
     // A rebuilt (different-content) store: typed rejection.
-    match scan_store_topk_resume(
+    match scan(
         &cfg,
         &query,
-        &rebuilt,
-        token.clone(),
+        ScanDb::Store(&rebuilt),
+        token.k(),
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -449,11 +458,12 @@ fn resume_token_binds_to_db_content_hash() {
     }
 
     // A store token against the in-memory resume: typed rejection.
-    match scan_packed_topk_resume(
+    match scan(
         &cfg,
         &query,
-        &database,
-        token.clone(),
+        ScanDb::Memory(&database),
+        token.k(),
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -465,15 +475,24 @@ fn resume_token_binds_to_db_content_hash() {
 
     // An in-memory token against the store resume: typed rejection.
     let ctrl = ScanControl::new().with_cells_budget(1);
-    let (_, mem_token) =
-        scan_packed_topk_resumable(&cfg, &query, &database, 2, Some(1), &ctrl).expect("valid");
-    let mem_token = mem_token.expect("token");
-    assert_eq!(mem_token.db_hash(), None);
-    match scan_store_topk_resume(
+    let (_, mem_token) = scan(
         &cfg,
         &query,
-        &target,
-        mem_token.clone(),
+        ScanDb::Memory(&database),
+        2,
+        None,
+        Some(1),
+        &ctrl,
+    )
+    .expect("valid");
+    let mem_token = mem_token.expect("token");
+    assert_eq!(mem_token.db_hash(), None);
+    match scan(
+        &cfg,
+        &query,
+        ScanDb::Store(&target),
+        mem_token.k(),
+        Some(mem_token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -623,7 +642,7 @@ proptest! {
 
         // Interrupt the first segment at a random fraction of the full
         // cell cost, then resume (unbounded) until done.
-        let full_cells = estimate_store_scan_cells(&cfg, &query, target.store(), None);
+        let full_cells = ScanDb::Store(&target).estimate_cells(&cfg, query.len(), None);
         let budget = (full_cells * cut_permille / 1000).max(1);
         let ctrl = ScanControl::new().with_cells_budget(budget);
         let (mut outcome, mut token) =
@@ -633,7 +652,7 @@ proptest! {
         while let Some(tok) = token {
             prop_assert!(segments < 50, "resume chain must terminate");
             let (o, t) =
-                scan_store_topk_resume(&cfg, &query, &target, tok, Some(workers), &ScanControl::new())
+                scan(&cfg, &query, ScanDb::Store(&target), tok.k(), Some(tok), Some(workers), &ScanControl::new())
                     .expect("resume accepted");
             outcome = o;
             token = t;

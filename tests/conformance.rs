@@ -2,7 +2,7 @@
 //! must pass. One parameterized harness asserts that the striped batch
 //! path, the per-pair wavefront path, and the scalar rolling-row
 //! reference produce identical verdicts for every `AlignMode` × lane
-//! floor × `PackerPolicy`, on DNA and protein, plain, banded, and
+//! floor, on DNA and protein, plain, banded, and
 //! thresholded — and that ratcheted top-k scans are byte-identical
 //! across worker counts and agree with the per-pair reference
 //! selection.
@@ -14,8 +14,8 @@
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::scan_packed_topk_with;
 use race_logic::engine::{
-    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
-    LocalScores, PackerPolicy,
+    AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, KernelStrategy, LaneWidth,
+    LocalScores,
 };
 use rl_bio::alphabet::Symbol;
 use rl_bio::{AminoAcid, Dna, PackedSeq, Seq};
@@ -27,7 +27,6 @@ const LANE_FLOORS: [LaneWidth; 4] = [
     LaneWidth::U32,
     LaneWidth::U64,
 ];
-const PACKERS: [PackerPolicy; 2] = [PackerPolicy::LengthAware, PackerPolicy::ExactBucket];
 
 /// Mixed-length pairs in `lo..=hi` bp — long enough to stripe, ragged
 /// enough to exercise the length-aware packer's cross-length stripes,
@@ -63,7 +62,7 @@ fn pairs<S: Symbol>(
 
 /// The conformance core: for one mode/band/threshold configuration,
 /// assert striped == per-pair == scalar-reference across every lane
-/// floor and packer policy.
+/// floor.
 fn assert_conformance<S: Symbol>(
     label: &str,
     cfg: AlignConfig,
@@ -99,22 +98,18 @@ fn assert_conformance<S: Symbol>(
         let mut auto_engine = AlignEngine::new(fcfg);
         let sequential: Vec<_> = pairs.iter().map(|(q, p)| auto_engine.align(q, p)).collect();
 
-        for packer in PACKERS {
-            let pcfg = fcfg.with_packer(packer);
-            let batch = align_batch(&pcfg, pairs);
+        let batch = BatchEngine::new(fcfg).align_batch(pairs);
+        assert_eq!(
+            batch, sequential,
+            "{label}: striped batch diverges from the sequential per-pair loop \
+             at floor {floor:?}"
+        );
+        for (out, reference) in batch.iter().zip(&scalar) {
             assert_eq!(
-                batch, sequential,
-                "{label}: striped batch diverges from the sequential per-pair loop \
-                 at floor {floor:?}, packer {packer}"
+                (out.score, out.early_terminated),
+                (reference.score, reference.early_terminated),
+                "{label}: striped batch diverges from scalar at floor {floor:?}"
             );
-            for (out, reference) in batch.iter().zip(&scalar) {
-                assert_eq!(
-                    (out.score, out.early_terminated),
-                    (reference.score, reference.early_terminated),
-                    "{label}: striped batch diverges from scalar at floor {floor:?}, \
-                     packer {packer}"
-                );
-            }
         }
     }
 }
@@ -137,23 +132,20 @@ fn assert_scan_conformance<S: Symbol>(label: &str, cfg: AlignConfig, seed: u64, 
         .collect();
 
     for floor in LANE_FLOORS {
-        for packer in PACKERS {
-            let pcfg = cfg.with_lane_floor(floor).with_packer(packer);
-            let one = scan_packed_topk_with(&pcfg, &query, &database, 5, Some(1));
-            let four = scan_packed_topk_with(&pcfg, &query, &database, 5, Some(4));
+        let fcfg = cfg.with_lane_floor(floor);
+        let one = scan_packed_topk_with(&fcfg, &query, &database, 5, Some(1));
+        let four = scan_packed_topk_with(&fcfg, &query, &database, 5, Some(4));
+        assert_eq!(
+            one.hits, four.hits,
+            "{label}: scan hits diverge across worker counts at floor {floor:?}"
+        );
+        for &(idx, score) in &one.hits {
             assert_eq!(
-                one.hits, four.hits,
-                "{label}: scan hits diverge across worker counts at floor {floor:?}, \
-                 packer {packer}"
+                Some(score),
+                scalar[idx].score.cycles(),
+                "{label}: hit {idx} disagrees with the scalar reference at \
+                 floor {floor:?}"
             );
-            for &(idx, score) in &one.hits {
-                assert_eq!(
-                    Some(score),
-                    scalar[idx].score.cycles(),
-                    "{label}: hit {idx} disagrees with the scalar reference at \
-                     floor {floor:?}, packer {packer}"
-                );
-            }
         }
     }
 }

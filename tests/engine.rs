@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::banded::banded_race;
 use race_logic::early_termination::{threshold_race, ThresholdOutcome};
-use race_logic::engine::{align_batch, AlignConfig, AlignEngine};
+use race_logic::engine::{AlignConfig, AlignEngine, BatchEngine};
 use rl_bio::alphabet::Symbol;
 use rl_bio::{align, Objective, PackedSeq, ScoreScheme, Seq};
 use rl_bio::{AminoAcid, Dna};
@@ -129,7 +129,7 @@ proptest! {
             AlignConfig::new(w).with_band(band),
             AlignConfig::new(w).with_threshold(t),
         ] {
-            let batch = align_batch(&cfg, &pairs);
+            let batch = BatchEngine::new(cfg).align_batch(&pairs);
             let mut engine = AlignEngine::new(cfg);
             let sequential: Vec<_> =
                 pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
@@ -404,7 +404,7 @@ proptest! {
             AlignConfig::new(w).with_threshold(t),
             AlignConfig::new(w).with_band(band).with_threshold(t),
         ] {
-            let batch = align_batch(&cfg, &pairs);
+            let batch = BatchEngine::new(cfg).align_batch(&pairs);
             let mut engine = AlignEngine::new(cfg);
             let sequential: Vec<EngineOutcome> =
                 pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
@@ -430,7 +430,7 @@ proptest! {
             .collect();
         let w = RaceWeights::fig4();
         let cfg = AlignConfig::new(w).with_threshold(t);
-        let batch = align_batch(&cfg, &pairs);
+        let batch = BatchEngine::new(cfg).align_batch(&pairs);
         let mut engine = AlignEngine::new(cfg);
         for (i, (q, p)) in pairs.iter().enumerate() {
             let seq_out = engine.align(q, p);
@@ -503,8 +503,6 @@ fn u16_u32_eligibility_boundary_regression() {
 /// sides must stay byte-identical to the scalar rolling row.
 #[test]
 fn u8_u16_eligibility_boundary_regression() {
-    use race_logic::engine::align_batch;
-
     let cfg = AlignConfig::new(RaceWeights::fig4());
     assert_eq!(cfg.resolve_stripe_lanes(111, 111), LaneWidth::U8);
     assert_eq!(cfg.resolve_stripe_lanes(111, 112), LaneWidth::U16);
@@ -526,7 +524,7 @@ fn u8_u16_eligibility_boundary_regression() {
                 )
             })
             .collect();
-        let batch = align_batch(&cfg, &pairs);
+        let batch = BatchEngine::new(cfg).align_batch(&pairs);
         let mut scalar = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
         for (out, (q, p)) in batch.iter().zip(&pairs) {
             assert_eq!(out.score, scalar.align(q, p).score, "{n}x{m}");
@@ -544,8 +542,6 @@ fn u8_u16_eligibility_boundary_regression() {
 /// rows pin the abandon verdict at the same scores.
 #[test]
 fn u8_bias_holds_scores_across_byte_ceiling() {
-    use race_logic::engine::align_batch;
-
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let a = |len: usize| -> PackedSeq<Dna> {
         PackedSeq::from_seq(&Seq::repeated(rl_bio::alphabet::Dna::A, len))
@@ -558,7 +554,7 @@ fn u8_bias_holds_scores_across_byte_ceiling() {
         let (n, m) = (63, total - 63);
         assert_eq!(cfg.resolve_stripe_lanes(n, m), LaneWidth::U8, "{total}");
         let pairs: Vec<_> = (0..6).map(|_| (a(n), c(m))).collect();
-        for out in align_batch(&cfg, &pairs) {
+        for out in BatchEngine::new(cfg).align_batch(&pairs) {
             assert_eq!(
                 out.score.cycles(),
                 Some(total as u64),
@@ -576,7 +572,7 @@ fn u8_bias_holds_scores_across_byte_ceiling() {
                 "{total} t {t}"
             );
             let pairs: Vec<_> = (0..6).map(|_| (a(n), c(m))).collect();
-            for out in align_batch(&tcfg, &pairs) {
+            for out in BatchEngine::new(tcfg).align_batch(&pairs) {
                 assert_eq!(
                     out.finished_score().is_some(),
                     finishes,
@@ -654,8 +650,13 @@ fn band_compaction_edge_regression() {
 // Ragged batches (length-aware packer) and the ratcheted top-k scan.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::{scan_database, scan_database_topk_with};
-use race_logic::engine::{batch_plan_stats, BatchEngine, PackerPolicy};
+use race_logic::early_termination::{scan_database, scan_packed_topk_with};
+use race_logic::engine::batch_plan_stats;
+
+/// Packs a database for [`scan_packed_topk_with`].
+fn pack_all<S: Symbol>(db: &[Seq<S>]) -> Vec<PackedSeq<S>> {
+    db.iter().map(PackedSeq::from_seq).collect()
+}
 
 /// Seed-pinned log-normal lengths clamped to `[lo, hi]` — the shape of
 /// realistic read-length distributions (same construction as
@@ -703,9 +704,7 @@ fn ragged_pairs(seed: u64, count: usize) -> Vec<(PackedSeq<Dna>, PackedSeq<Dna>)
 proptest! {
     /// The length-aware packer's batches are byte-identical to the
     /// sequential engine over ragged log-normal length mixes — scores,
-    /// cell counts and verdicts — across bands, thresholds, and both
-    /// packer policies (and a reused `BatchEngine` matches the one-shot
-    /// free function).
+    /// cell counts and verdicts — across bands and thresholds.
     #[test]
     fn ragged_lognormal_batch_equals_sequential(
         seed in 0_u64..1_000, band in 3_usize..24, t in 20_u64..120
@@ -718,13 +717,11 @@ proptest! {
             AlignConfig::new(w).with_threshold(t),
             AlignConfig::new(w).with_band(band).with_threshold(t),
         ] {
-            for cfg in [cfg, cfg.with_packer(PackerPolicy::ExactBucket)] {
-                let batch = align_batch(&cfg, &pairs);
-                let mut engine = AlignEngine::new(cfg);
-                let sequential: Vec<EngineOutcome> =
-                    pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
-                prop_assert_eq!(&batch, &sequential, "packer {}", cfg.packer);
-            }
+            let batch = BatchEngine::new(cfg).align_batch(&pairs);
+            let mut engine = AlignEngine::new(cfg);
+            let sequential: Vec<EngineOutcome> =
+                pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
+            prop_assert_eq!(&batch, &sequential);
         }
     }
 
@@ -767,7 +764,7 @@ proptest! {
                 threshold,
                 ..AlignConfig::new(w)
             };
-            let scan = scan_database_topk_with(&cfg, &query, &db, k, workers);
+            let scan = scan_packed_topk_with(&cfg, &PackedSeq::from_seq(&query), &pack_all(&db), k, workers);
             prop_assert_eq!(&scan.hits, &expected, "workers {:?}", workers);
         }
     }
@@ -798,8 +795,20 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
     let w = RaceWeights::fig4();
 
     let cfg = AlignConfig::new(w);
-    let single = scan_database_topk_with(&cfg, &query, &db, 8, Some(1));
-    let quad = scan_database_topk_with(&cfg, &query, &db, 8, Some(4));
+    let single = scan_packed_topk_with(
+        &cfg,
+        &PackedSeq::from_seq(&query),
+        &pack_all(&db),
+        8,
+        Some(1),
+    );
+    let quad = scan_packed_topk_with(
+        &cfg,
+        &PackedSeq::from_seq(&query),
+        &pack_all(&db),
+        8,
+        Some(4),
+    );
     assert_eq!(
         single.hits, quad.hits,
         "top-k must not depend on worker count"
@@ -818,7 +827,8 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
             .iter()
             .map(|p| (PackedSeq::from_seq(&query), PackedSeq::from_seq(p)))
             .collect();
-        align_batch(&AlignConfig::new(w), &pairs)
+        BatchEngine::new(AlignConfig::new(w))
+            .align_batch(&pairs)
             .iter()
             .map(|o| o.cells_computed)
             .sum()
@@ -837,24 +847,17 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
 /// On a ragged log-normal workload most wavefront-eligible pairs must
 /// ride stripes under the length-aware packer (the acceptance-criterion
 /// floor, pinned well below the measured value), and a reused
-/// `BatchEngine` stays byte-identical to the free function.
+/// `BatchEngine` stays byte-identical to a fresh one.
 #[test]
 fn ragged_workload_stripes_most_pairs() {
     let pairs = ragged_pairs(0xBADC0DE, 400);
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let aware = batch_plan_stats(&cfg, &pairs);
-    let exact = batch_plan_stats(&cfg.with_packer(PackerPolicy::ExactBucket), &pairs);
     assert!(
         aware.striped_pairs * 10 >= aware.wavefront_eligible * 8,
         "length-aware packer must stripe ≥ 80% of eligible pairs: {}/{}",
         aware.striped_pairs,
         aware.wavefront_eligible
-    );
-    assert!(
-        aware.striped_fraction() > exact.striped_fraction(),
-        "length-aware ({:.2}) must beat exact-bucket ({:.2}) on ragged lengths",
-        aware.striped_fraction(),
-        exact.striped_fraction()
     );
     assert!(
         aware.occupancy() > 0.5,
@@ -866,7 +869,7 @@ fn ragged_workload_stripes_most_pairs() {
     let first = batcher.align_batch(&pairs);
     let second = batcher.align_batch(&pairs); // scratch reuse path
     assert_eq!(first, second);
-    assert_eq!(first, align_batch(&cfg, &pairs));
+    assert_eq!(first, BatchEngine::new(cfg).align_batch(&pairs));
 }
 
 /// `scan_database` (the §6 report) and the ratcheted top-k agree on who
@@ -886,7 +889,13 @@ fn topk_agrees_with_scan_database_hits() {
     let threshold = 45_u64;
     let report = scan_database(&query, &db, w, threshold);
     let cfg = AlignConfig::new(w).with_threshold(threshold);
-    let topk = scan_database_topk_with(&cfg, &query, &db, db.len(), Some(2));
+    let topk = scan_packed_topk_with(
+        &cfg,
+        &PackedSeq::from_seq(&query),
+        &pack_all(&db),
+        db.len(),
+        Some(2),
+    );
     let mut expected = report.hits.clone();
     expected.sort_unstable_by_key(|&(idx, score)| (score, idx));
     assert_eq!(topk.hits, expected);
@@ -1149,7 +1158,7 @@ proptest! {
                 cfgs.push(AlignConfig::new(w).with_mode(mode).with_threshold(t));
             }
             for cfg in cfgs {
-                let batch = align_batch(&cfg, &pairs);
+                let batch = BatchEngine::new(cfg).align_batch(&pairs);
                 let mut engine = AlignEngine::new(cfg);
                 let sequential: Vec<EngineOutcome> =
                     pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
@@ -1189,7 +1198,7 @@ proptest! {
         expected.truncate(k);
 
         for workers in [Some(1), Some(4)] {
-            let scan = scan_database_topk_with(&cfg, &query, &db, k, workers);
+            let scan = scan_packed_topk_with(&cfg, &PackedSeq::from_seq(&query), &pack_all(&db), k, workers);
             prop_assert_eq!(&scan.hits, &expected, "workers {:?}", workers);
         }
     }
@@ -1225,8 +1234,20 @@ fn semi_global_scan_finds_planted_occurrences() {
     }
     let cfg = AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal);
 
-    let single = scan_database_topk_with(&cfg, &query, &db, 3, Some(1));
-    let quad = scan_database_topk_with(&cfg, &query, &db, 3, Some(4));
+    let single = scan_packed_topk_with(
+        &cfg,
+        &PackedSeq::from_seq(&query),
+        &pack_all(&db),
+        3,
+        Some(1),
+    );
+    let quad = scan_packed_topk_with(
+        &cfg,
+        &PackedSeq::from_seq(&query),
+        &pack_all(&db),
+        3,
+        Some(4),
+    );
     assert_eq!(single.hits, quad.hits, "worker-count determinism");
     assert_eq!(
         single.hits.iter().map(|&(i, s)| (i, s)).collect::<Vec<_>>(),

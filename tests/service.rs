@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use race_logic::alignment::RaceWeights;
-use race_logic::early_termination::{
-    estimate_scan_cells, scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_with,
-};
+use race_logic::early_termination::{scan, scan_packed_topk_with, ScanDb};
 use race_logic::engine::{AffineWeights, AlignConfig, AlignMode};
 use race_logic::service::{
     backoff_delay, QueryError, QueryStatus, ScanRequest, ScanService, ServiceConfig, SubmitError,
@@ -87,7 +85,7 @@ fn admission_returns_typed_backpressure() {
     }
 
     // Queued-cells bound: the estimate is the banded grid-cell total.
-    let est = estimate_scan_cells(&cfg, &q, &database);
+    let est = ScanDb::Memory(&database).estimate_cells(&cfg, q.len(), None);
     assert!(est > 0);
     let service = ScanService::new(ServiceConfig::default().with_max_queued_cells(est - 1));
     match service.try_submit(ScanRequest::new(cfg, q.clone(), Arc::clone(&database), 2)) {
@@ -102,8 +100,16 @@ fn admission_returns_typed_backpressure() {
     // so the database must span several units for work to remain.
     let (q_wide, wide_db) = db(52, 128, 32);
     let ctrl = ScanControl::new().with_cells_budget(1);
-    let (_, token) =
-        scan_packed_topk_resumable(&cfg, &q_wide, &wide_db, 2, Some(1), &ctrl).unwrap();
+    let (_, token) = scan(
+        &cfg,
+        &q_wide,
+        ScanDb::Memory(&wide_db),
+        2,
+        None,
+        Some(1),
+        &ctrl,
+    )
+    .unwrap();
     let token = token.expect("budget of 1 cell leaves work");
     let (q2, other_db) = db(51, 5, 32);
     let service = ScanService::new(ServiceConfig::default());
@@ -120,8 +126,8 @@ fn overload_sheds_costliest_queued_query_and_cancel_yields_resume() {
     let (q_big, db_big) = db(60, 400, 160);
     let (q_small, db_small) = db(61, 8, 32);
     let (q_mid, db_mid) = db(62, 24, 48);
-    let small_est = estimate_scan_cells(&cfg, &q_small, &db_small);
-    let mid_est = estimate_scan_cells(&cfg, &q_mid, &db_mid);
+    let small_est = ScanDb::Memory(&db_small).estimate_cells(&cfg, q_small.len(), None);
+    let mid_est = ScanDb::Memory(&db_mid).estimate_cells(&cfg, q_mid.len(), None);
     assert!(mid_est > small_est);
 
     // Watermark admits the small query but not small + mid together.
@@ -273,19 +279,35 @@ fn entry_point_resume_merges_exact_accounting() {
 
     let ctrl = ScanControl::new().with_cells_budget(8_000);
     let (first, token) =
-        scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
+        scan(&cfg, &q, ScanDb::Memory(&database), 3, None, Some(1), &ctrl).unwrap();
     assert_eq!(first.stop, Some(StopReason::BudgetExhausted));
     let token = token.expect("resumable");
 
     let expired = ScanControl::new().with_deadline_after(Duration::ZERO);
-    let (stalled, token) =
-        scan_packed_topk_resume(&cfg, &q, &database, token.clone(), Some(1), &expired).unwrap();
+    let (stalled, token) = scan(
+        &cfg,
+        &q,
+        ScanDb::Memory(&database),
+        token.k(),
+        Some(token.clone()),
+        Some(1),
+        &expired,
+    )
+    .unwrap();
     assert_eq!(stalled.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(stalled.completed_pairs, first.completed_pairs);
     let token = token.expect("still resumable");
 
-    let (full, none) =
-        scan_packed_topk_resume(&cfg, &q, &database, token, Some(1), &ScanControl::new()).unwrap();
+    let (full, none) = scan(
+        &cfg,
+        &q,
+        ScanDb::Memory(&database),
+        token.k(),
+        Some(token),
+        Some(1),
+        &ScanControl::new(),
+    )
+    .unwrap();
     assert!(none.is_none());
     assert!(full.is_complete());
     assert_eq!(full.faulted_pairs, 0);
@@ -411,7 +433,7 @@ fn store_backed_admission_prices_from_the_manifest() {
     let (query, database) = db(33, 30, 48);
     let (target, _guard) = store_target("pricing", &database);
     let cfg = AlignConfig::new(RaceWeights::fig4());
-    let expected = estimate_scan_cells(&cfg, &query, &database);
+    let expected = ScanDb::Memory(&database).estimate_cells(&cfg, query.len(), None);
 
     // A service whose cell ceiling sits below the estimate rejects the
     // store-backed request, quoting the exact manifest-derived estimate
@@ -442,7 +464,7 @@ fn resume_rejects_a_k_other_than_the_tokens() {
     let (q, database) = db(71, 40, 48);
     let ctrl = ScanControl::new().with_cells_budget(1);
     let (_, token) =
-        scan_packed_topk_resumable(&cfg, &q, &database, 4, Some(1), &ctrl).expect("valid");
+        scan(&cfg, &q, ScanDb::Memory(&database), 4, None, Some(1), &ctrl).expect("valid");
     let token = token.expect("a budget stop leaves a token");
 
     let service = ScanService::new(ServiceConfig::default());
@@ -497,8 +519,16 @@ fn stop_reporting_agrees_across_entry_points_and_worker_counts() {
                 (report.outcome, report.resume)
             };
             let runs = [
-                scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(workers), &ctrl())
-                    .expect("valid"),
+                scan(
+                    &cfg,
+                    &q,
+                    ScanDb::Memory(&database),
+                    3,
+                    None,
+                    Some(workers),
+                    &ctrl(),
+                )
+                .expect("valid"),
                 scan_store_topk_resumable(&cfg, &q, &target, 3, Some(workers), &ctrl())
                     .expect("valid"),
                 via_service(ScanRequest::new(cfg, q.clone(), Arc::clone(&database), 3)),

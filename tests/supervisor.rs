@@ -10,8 +10,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{
-    scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_supervised,
-    scan_packed_topk_with, try_scan_database_topk_with, try_scan_packed_topk_with,
+    scan, scan_packed_topk_supervised, scan_packed_topk_with, ScanDb, TopKScan,
 };
 use race_logic::engine::{
     AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, LaneWidth, LocalScores,
@@ -46,52 +45,40 @@ fn invalid(result: Result<impl std::fmt::Debug, AlignError>, needle: &str) {
 fn scan_validation_rejects_bad_requests() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let (q, database) = db(1, 4, 16);
+    let fresh = |cfg: &AlignConfig, q: &PackedSeq<Dna>, entries: &[PackedSeq<Dna>], k| {
+        scan(
+            cfg,
+            q,
+            ScanDb::Memory(entries),
+            k,
+            None,
+            None,
+            &ScanControl::new(),
+        )
+    };
 
-    invalid(
-        try_scan_packed_topk_with(&cfg, &q, &database, 0, None),
-        "k >= 1",
-    );
-    invalid(
-        try_scan_packed_topk_with(&cfg, &q, &database, 5, None),
-        "exceeds the database size",
-    );
+    invalid(fresh(&cfg, &q, &database, 0), "k >= 1");
+    invalid(fresh(&cfg, &q, &database, 5), "exceeds the database size");
 
     let empty = PackedSeq::from_seq(&"".parse::<Seq<Dna>>().unwrap());
-    invalid(
-        try_scan_packed_topk_with(&cfg, &empty, &database, 2, None),
-        "empty query",
-    );
+    invalid(fresh(&cfg, &empty, &database, 2), "empty query");
     let mut holed = database.clone();
     holed[2] = empty;
-    invalid(
-        try_scan_packed_topk_with(&cfg, &q, &holed, 2, None),
-        "entry 2 is empty",
-    );
+    invalid(fresh(&cfg, &q, &holed, 2), "entry 2 is empty");
 
     // Degenerate weight scheme: a zero indel weight would let a race
     // stall forever on a free gap ladder.
     let mut zero_indel = cfg;
     zero_indel.weights.indel = 0;
     invalid(
-        try_scan_packed_topk_with(&zero_indel, &q, &database, 2, None),
+        fresh(&zero_indel, &q, &database, 2),
         "indel weight must be positive",
     );
 
     // Max-plus local mode has no sound frontier abandon.
     let local =
         AlignConfig::new(RaceWeights::fig4()).with_mode(AlignMode::Local(LocalScores::unit()));
-    invalid(
-        try_scan_packed_topk_with(&local, &q, &database, 2, None),
-        "min-plus",
-    );
-
-    // The unpacked wrapper routes through the same validation.
-    let seqs: Vec<Seq<Dna>> = vec!["ACGT".parse().unwrap()];
-    let query: Seq<Dna> = "ACGT".parse().unwrap();
-    invalid(
-        try_scan_database_topk_with(&cfg, &query, &seqs, 0, None),
-        "k >= 1",
-    );
+    invalid(fresh(&local, &q, &database, 2), "min-plus");
 
     // The supervised entry point validates before touching the control.
     let ctrl = ScanControl::new();
@@ -183,7 +170,21 @@ fn try_scan_matches_unsupervised_scan() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let (q, database) = db(7, 20, 48);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 5, Some(1));
-    let tried = try_scan_packed_topk_with(&cfg, &q, &database, 5, Some(1)).unwrap();
+    let (tried, _) = scan(
+        &cfg,
+        &q,
+        ScanDb::Memory(&database),
+        5,
+        None,
+        Some(1),
+        &ScanControl::new(),
+    )
+    .unwrap();
+    let tried = TopKScan {
+        hits: tried.hits,
+        abandoned: tried.abandoned,
+        cells_computed: tried.cells_computed,
+    };
     assert_eq!(tried, baseline);
 }
 
@@ -376,14 +377,14 @@ proptest! {
         // chain terminates in at most `entries` segments.
         let ctrl = ScanControl::new().with_cells_budget(budget_step);
         let (mut outcome, mut token) =
-            scan_packed_topk_resumable(&cfg, &q, &database, k, workers, &ctrl).unwrap();
+            scan(&cfg, &q, ScanDb::Memory(&database), k, None, workers, &ctrl).unwrap();
         let mut segments = 1_usize;
         while let Some(tok) = token {
             prop_assert!(tok.remaining_pairs() > 0);
             prop_assert!(segments <= entries, "chain stopped making progress");
             let ctrl = ScanControl::new().with_cells_budget(budget_step);
             let (next, next_token) =
-                scan_packed_topk_resume(&cfg, &q, &database, tok, workers, &ctrl).unwrap();
+                scan(&cfg, &q, ScanDb::Memory(&database), tok.k(), Some(tok), workers, &ctrl).unwrap();
             // The cumulative ledger accounts for every pair at every
             // interruption point, not just at the end.
             prop_assert_eq!(
